@@ -36,6 +36,8 @@ from .config import NetworkConfig
 from .geometry import TierGeometry, central_angle_to_distance, contact_angle_cdf, contact_angle_pdf
 
 _MAX_PANEL_DOUBLINGS = 6
+# Quadrature rounding tolerated past a probability's bound: a result that
+# misses [0, bound] by less is clipped onto it, a larger miss raises.
 _BRACKET_SLACK = 1e-12
 
 
@@ -150,6 +152,15 @@ def interference_laplace(s, tier: TierGeometry, cfg: NetworkConfig,
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
+def _link_scaling(theta, cfg: NetworkConfig, tier: TierGeometry, beta: float, margin: float):
+    """rate * beta / (margin * P * G * pg(d(theta))): the per-unit-power
+    factor (1/W) of a link's threshold event at central angle theta."""
+    radio = cfg.radio
+    d = central_angle_to_distance(theta, tier.shell_radius_km, cfg.earth_radius_km)
+    denom = margin * radio.tx_power_w * radio.antenna_gain_linear
+    return cfg.fading.rate * beta / (denom * path_gain(d, radio.carrier_hz))
+
+
 def s_ls(theta, cfg: NetworkConfig):
     """Exponent scaling for the serving link's threshold event at angle theta.
 
@@ -157,13 +168,9 @@ def s_ls(theta, cfg: NetworkConfig):
     on angle and interference I, is a binomial sum in exp(-q * s_ls(theta) *
     (I + noise)); this returns that per-unit-power factor (1/W).
     """
-    radio = cfg.radio
-    if radio.info_ratio <= 0.0:
+    if cfg.radio.info_ratio <= 0.0:
         raise ValueError("info_ratio must be positive to form the serving-link scaling")
-    geom = cfg.legit_geometry()
-    d = central_angle_to_distance(theta, geom.shell_radius_km, cfg.earth_radius_km)
-    denom = radio.info_ratio * radio.tx_power_w * radio.antenna_gain_linear
-    return cfg.fading.rate * cfg.beta_ls / (denom * path_gain(d, radio.carrier_hz))
+    return _link_scaling(theta, cfg, cfg.legit_geometry(), cfg.beta_ls, cfg.radio.info_ratio)
 
 
 def an_ceiling(info_ratio: float, beta_es: float) -> bool:
@@ -184,9 +191,7 @@ def s_es(theta, cfg: NetworkConfig, tier: TierGeometry):
         raise ANCeilingError(
             f"info_ratio {radio.info_ratio} is at or below the ceiling "
             f"beta_es/(1+beta_es) = {cfg.beta_es / (1.0 + cfg.beta_es)}")
-    d = central_angle_to_distance(theta, tier.shell_radius_km, cfg.earth_radius_km)
-    denom = margin * radio.tx_power_w * radio.antenna_gain_linear
-    return cfg.fading.rate * cfg.beta_es / (denom * path_gain(d, radio.carrier_hz))
+    return _link_scaling(theta, cfg, tier, cfg.beta_es, margin)
 
 
 def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig,
@@ -206,16 +211,30 @@ def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig
 
 def coverage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """P[serving link SINR > beta_ls], integrated over the nearest-satellite
-    angle law of the serving tier (hence at most that tier's availability)."""
+    angle law of the serving tier (hence at most that tier's availability).
+
+    Quadrature rounding can push the integral just past that availability
+    when coverage is near 1; a miss within _BRACKET_SLACK is clipped, a
+    larger one raises ArithmeticError.  A QuadratureError names the metric
+    and the serving tier.
+    """
     geom = cfg.legit_geometry()
     if geom.num_satellites == 0 or cfg.radio.info_ratio == 0.0:
         return 0.0
 
     def integrand(theta):
-        exceed = _threshold_exceed_given_angle(s_ls(theta, cfg), geom, cfg, quad)
+        s_vals = _link_scaling(theta, cfg, geom, cfg.beta_ls, cfg.radio.info_ratio)
+        exceed = _threshold_exceed_given_angle(s_vals, geom, cfg, quad)
         return exceed * contact_angle_pdf(theta, geom.num_satellites, geom.max_central_angle)
 
-    return float(integrate(integrand, 0.0, geom.max_central_angle, quad))
+    try:
+        p_cov = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
+    except QuadratureError as e:
+        raise QuadratureError(f"coverage, tier {cfg.legit_tier}: {e}") from e
+    p_av = availability_probability(geom)
+    if p_cov < -_BRACKET_SLACK or p_cov > p_av + _BRACKET_SLACK:
+        raise ArithmeticError(f"coverage {p_cov} outside [0, p_av = {p_av}]")
+    return min(max(p_cov, 0.0), p_av)
 
 
 def successful_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -230,7 +249,8 @@ def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAUL
     integral of the conditional probability against the single-satellite
     angle density sin(theta)/2, plus the mass (1 + cos(theta_max))/2 of never
     being in view; independence across the tier's satellites raises that
-    bracket to the satellite count (evaluated in log domain).
+    bracket to the satellite count (evaluated in log domain).  A
+    QuadratureError names the metric and the eavesdropper tier.
     """
     if an_ceiling(cfg.radio.info_ratio, cfg.beta_es):
         return 1.0
@@ -243,7 +263,10 @@ def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAUL
             exceed = _threshold_exceed_given_angle(s_es(theta, cfg, geom), geom, cfg, quad)
             return (1.0 - exceed) * np.sin(theta) / 2.0
 
-        below = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
+        try:
+            below = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
+        except QuadratureError as e:
+            raise QuadratureError(f"secrecy outage, tier {k}: {e}") from e
         bracket = below + 0.5 * (1.0 + math.cos(geom.max_central_angle))
         if bracket < -_BRACKET_SLACK or bracket > 1.0 + _BRACKET_SLACK:
             raise ArithmeticError(f"per-satellite bracket {bracket} outside [0, 1]")

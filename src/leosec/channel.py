@@ -102,10 +102,6 @@ def sample_fades(fading: FadingParams, rng: np.random.Generator, count: int) -> 
     return draws.max(axis=1)
 
 
-def sample_fade(fading: FadingParams, rng: np.random.Generator) -> float:
-    return float(sample_fades(fading, rng, 1)[0])
-
-
 def received_power(radio: RadioParams, distance_km, fade):
     """tx power x free-space gain x antenna gain x channel gain."""
     if np.any(np.asarray(fade) < 0.0):

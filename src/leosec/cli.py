@@ -14,47 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import experiments, montecarlo
 from .analytics import DEFAULT_QUAD, QuadratureSpec, full_report
-from .config import ConfigError, NetworkConfig, PRESETS, config_from_dict, config_to_dict
+from .config import ConfigError, NetworkConfig, PRESETS, config_from_dict
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
-COMMANDS = ("analyze", "simulate", "validate", "sweep", "optimize")
+_LINK_METRICS = ("p_cov", "p_suc", "p_out", "p_sec")
 
 
 class CliInputError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str | None = None
-    preset: str | None = None
-    seed: int = 1
-    n_trials: int = 10_000
-    quad_nodes: int | None = None
-    out: str | None = None
-    fmt: str | None = None           # None -> per-command default
-    axis1: str | None = None         # sweep: "name=v1,v2,..."
-    axis2: str | None = None
-    metric: str = "p_sec"
-    engine: str = "analytic"
-    grid_points: int | None = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise CliInputError(f"unknown command {self.command!r}")
-        if self.seed < 1:
-            raise CliInputError(f"seed must be positive, got {self.seed}")
-        if self.n_trials < 1:
-            raise CliInputError(f"trials must be positive, got {self.n_trials}")
 
 
 def parse_config(text: str) -> NetworkConfig:
@@ -66,23 +41,23 @@ def parse_config(text: str) -> NetworkConfig:
     return config_from_dict(doc)
 
 
-def _load_config(manifest: RunManifest) -> NetworkConfig:
-    if manifest.config_path is not None:
+def _load_config(ns: argparse.Namespace) -> NetworkConfig:
+    if ns.config is not None:
         try:
-            with open(manifest.config_path, "r", encoding="utf-8") as fh:
+            with open(ns.config, "r", encoding="utf-8") as fh:
                 return parse_config(fh.read())
         except OSError as e:
-            raise CliInputError(f"cannot read config {manifest.config_path}: {e}") from e
-    name = manifest.preset or "table2"
+            raise CliInputError(f"cannot read config {ns.config}: {e}") from e
+    name = ns.preset or "table2"
     if name not in PRESETS:
         raise CliInputError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     return PRESETS[name]()
 
 
-def _quad(manifest: RunManifest) -> QuadratureSpec:
-    if manifest.quad_nodes is None:
+def _quad(ns: argparse.Namespace) -> QuadratureSpec:
+    if ns.quad_nodes is None:
         return DEFAULT_QUAD
-    return replace(DEFAULT_QUAD, nodes_per_panel=manifest.quad_nodes)
+    return replace(DEFAULT_QUAD, nodes_per_panel=ns.quad_nodes)
 
 
 def _fmt(x) -> str:
@@ -140,109 +115,75 @@ def _mc_entry(est: montecarlo.McEstimate) -> dict:
             "n_trials": est.n_trials, "seed": est.master_seed}
 
 
-def _run_analyze(cfg: NetworkConfig, manifest: RunManifest) -> int:
-    report = full_report(cfg, _quad(manifest))
-    doc = {
-        "p_av": report.p_av_per_tier[cfg.legit_tier],
-        "p_av_per_tier": list(report.p_av_per_tier),
-        "p_cov": report.p_cov,
-        "p_suc": report.p_suc,
-        "p_out": report.p_out,
-        "p_sec": report.p_sec,
-    }
-    if (manifest.fmt or "json") == "json":
-        _emit(_as_json(doc), manifest.out)
-    else:
-        rows = [[f"p_av_{k}", v] for k, v in enumerate(report.p_av_per_tier)]
-        rows += [[name, doc[name]] for name in ("p_cov", "p_suc", "p_out", "p_sec")]
-        _emit(_as_csv(["metric", "value"], rows), manifest.out)
-    return EXIT_OK
+def _metrics_doc(values: dict, cfg: NetworkConfig) -> dict:
+    """analyze/simulate document from per-metric entries keyed ``p_av_<k>``,
+    p_cov, p_suc, p_out, p_sec."""
+    doc = {"p_av": values[f"p_av_{cfg.legit_tier}"],
+           "p_av_per_tier": [values[f"p_av_{k}"] for k in range(len(cfg.tiers))]}
+    doc.update((name, values[name]) for name in _LINK_METRICS)
+    return doc
 
 
-def _run_simulate(cfg: NetworkConfig, manifest: RunManifest) -> int:
-    est = montecarlo.estimate(cfg, manifest.n_trials, manifest.seed)
-    doc = {
-        "p_av": _mc_entry(est[f"p_av_{cfg.legit_tier}"]),
-        "p_av_per_tier": [_mc_entry(est[f"p_av_{k}"]) for k in range(len(cfg.tiers))],
-        "p_cov": _mc_entry(est["p_cov"]),
-        "p_suc": _mc_entry(est["p_suc"]),
-        "p_out": _mc_entry(est["p_out"]),
-        "p_sec": _mc_entry(est["p_sec"]),
-    }
-    if (manifest.fmt or "json") == "json":
-        _emit(_as_json(doc), manifest.out)
-    else:
-        names = [f"p_av_{k}" for k in range(len(cfg.tiers))] + ["p_cov", "p_suc", "p_out", "p_sec"]
-        rows = [[n, est[n].mean, est[n].stderr, est[n].n_trials, est[n].master_seed]
-                for n in names]
-        _emit(_as_csv(["metric", "mean", "stderr", "n_trials", "seed"], rows), manifest.out)
-    return EXIT_OK
+# Each runner returns (json document, csv header, csv rows, exit code).
+
+def _run_analyze(cfg: NetworkConfig, ns: argparse.Namespace):
+    report = full_report(cfg, _quad(ns))
+    values = {f"p_av_{k}": v for k, v in enumerate(report.p_av_per_tier)}
+    values.update((name, getattr(report, name)) for name in _LINK_METRICS)
+    return (_metrics_doc(values, cfg), ["metric", "value"],
+            [[name, v] for name, v in values.items()], EXIT_OK)
 
 
-def _run_validate(cfg: NetworkConfig, manifest: RunManifest) -> int:
-    rows = experiments.validate(cfg, manifest.n_trials, manifest.seed, _quad(manifest))
-    if (manifest.fmt or "csv") == "csv":
-        table = [[r.metric, r.analytic, r.mc_mean, r.mc_stderr, r.abs_diff, r.passed]
-                 for r in rows]
-        _emit(_as_csv(["metric", "analytic", "mc_mean", "mc_stderr", "abs_diff", "pass"],
-                      table), manifest.out)
-    else:
-        doc = [{"metric": r.metric, "analytic": r.analytic, "mc_mean": r.mc_mean,
-                "mc_stderr": r.mc_stderr, "abs_diff": r.abs_diff, "pass": r.passed}
-               for r in rows]
-        _emit(_as_json(doc), manifest.out)
-    return EXIT_OK if all(r.passed for r in rows) else EXIT_VALIDATION
+def _run_simulate(cfg: NetworkConfig, ns: argparse.Namespace):
+    est = montecarlo.estimate(cfg, ns.trials, ns.seed)
+    rows = [[name, e.mean, e.stderr, e.n_trials, e.master_seed] for name, e in est.items()]
+    return (_metrics_doc({name: _mc_entry(e) for name, e in est.items()}, cfg),
+            ["metric", "mean", "stderr", "n_trials", "seed"], rows, EXIT_OK)
 
 
-def _run_sweep(cfg: NetworkConfig, manifest: RunManifest) -> int:
-    if manifest.axis1 is None:
+def _run_validate(cfg: NetworkConfig, ns: argparse.Namespace):
+    rows = experiments.validate(cfg, ns.trials, ns.seed, _quad(ns))
+    header = ["metric", "analytic", "mc_mean", "mc_stderr", "abs_diff", "pass"]
+    table = [[r.metric, r.analytic, r.mc_mean, r.mc_stderr, r.abs_diff, r.passed]
+             for r in rows]
+    code = EXIT_OK if all(r.passed for r in rows) else EXIT_VALIDATION
+    return [dict(zip(header, row)) for row in table], header, table, code
+
+
+def _run_sweep(cfg: NetworkConfig, ns: argparse.Namespace):
+    if ns.axis1 is None:
         raise CliInputError("sweep requires --axis1 name=v1,v2,...")
     spec = experiments.SweepSpec(
-        axis1=_parse_axis(manifest.axis1),
-        axis2=_parse_axis(manifest.axis2) if manifest.axis2 else None,
-        metric=manifest.metric,
-        engine=manifest.engine,
+        axis1=_parse_axis(ns.axis1),
+        axis2=_parse_axis(ns.axis2) if ns.axis2 else None,
+        metric=ns.metric,
+        engine=ns.engine,
     )
-    rows = experiments.sweep(cfg, spec, n_trials=manifest.n_trials, seed=manifest.seed,
-                             quad=_quad(manifest))
-    if (manifest.fmt or "csv") == "csv":
-        table = [[r.axis1, r.axis2, r.metric, r.engine, r.value, r.stderr] for r in rows]
-        _emit(_as_csv(["axis1", "axis2", "metric", "engine", "value", "stderr"], table),
-              manifest.out)
-    else:
-        doc = [{"axis1": r.axis1, "axis2": r.axis2, "metric": r.metric, "engine": r.engine,
-                "value": r.value, "stderr": r.stderr} for r in rows]
-        _emit(_as_json(doc), manifest.out)
-    return EXIT_OK
+    rows = experiments.sweep(cfg, spec, n_trials=ns.trials, seed=ns.seed, quad=_quad(ns))
+    header = ["axis1", "axis2", "metric", "engine", "value", "stderr"]
+    table = [[r.axis1, r.axis2, r.metric, r.engine, r.value, r.stderr] for r in rows]
+    return [dict(zip(header, row)) for row in table], header, table, EXIT_OK
 
 
-def _run_optimize(cfg: NetworkConfig, manifest: RunManifest) -> int:
-    g_star, p_star, grid, values = experiments.optimize_gamma_detailed(
-        cfg, manifest.grid_points, _quad(manifest))
-    if (manifest.fmt or "json") == "json":
-        doc = {"gamma_star": g_star, "p_sec_star": p_star,
-               "grid": [{"gamma": g, "p_sec": v} for g, v in zip(grid, values)]}
-        _emit(_as_json(doc), manifest.out)
-    else:
-        rows = [[g, v, False] for g, v in zip(grid, values)]
-        rows.append([g_star, p_star, True])
-        _emit(_as_csv(["gamma", "p_sec", "is_optimum"], rows), manifest.out)
-    return EXIT_OK
+def _run_optimize(cfg: NetworkConfig, ns: argparse.Namespace):
+    g_star, p_star, grid, values = experiments.optimize_gamma(cfg, ns.grid_points, _quad(ns))
+    doc = {"gamma_star": g_star, "p_sec_star": p_star,
+           "grid": [{"gamma": g, "p_sec": v} for g, v in zip(grid, values)]}
+    rows = [[g, v, False] for g, v in zip(grid, values)]
+    rows.append([g_star, p_star, True])
+    return doc, ["gamma", "p_sec", "is_optimum"], rows, EXIT_OK
 
 
+# command -> (runner, default --format)
 _RUNNERS = {
-    "analyze": _run_analyze,
-    "simulate": _run_simulate,
-    "validate": _run_validate,
-    "sweep": _run_sweep,
-    "optimize": _run_optimize,
+    "analyze": (_run_analyze, "json"),
+    "simulate": (_run_simulate, "json"),
+    "validate": (_run_validate, "csv"),
+    "sweep": (_run_sweep, "csv"),
+    "optimize": (_run_optimize, "json"),
 }
 
-
-def run(manifest: RunManifest) -> int:
-    """Execute one manifest; returns the process exit code."""
-    cfg = _load_config(manifest)
-    return _RUNNERS[manifest.command](cfg, manifest)
+COMMANDS = tuple(_RUNNERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,20 +191,27 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="leosec", description="Uplink security metrics for "
                      "IoT-to-LEO links in multi-tier constellations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command, (_, fmt) in _RUNNERS.items():
         p = sub.add_parser(command)
         src = p.add_mutually_exclusive_group()
         src.add_argument("--config", metavar="PATH", help="JSON scenario file")
         src.add_argument("--preset", metavar="NAME", help="built-in scenario (table2)")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--trials", type=int, default=10_000)
+        p.add_argument("--seed", type=_positive_int, default=1)
+        p.add_argument("--trials", type=_positive_int, default=10_000)
         p.add_argument("--quad-nodes", type=int, default=None)
         p.add_argument("--out", metavar="PATH", help="write results here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
         if command == "sweep":
             p.add_argument("--axis1", metavar="NAME=V1,V2,...")
             p.add_argument("--axis2", metavar="NAME=V1,V2,...")
@@ -275,30 +223,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def build_manifest(argv: list[str]) -> RunManifest:
-    ns = _build_parser().parse_args(argv)
-    return RunManifest(
-        command=ns.command,
-        config_path=ns.config,
-        preset=ns.preset,
-        seed=ns.seed,
-        n_trials=ns.trials,
-        quad_nodes=ns.quad_nodes,
-        out=ns.out,
-        fmt=ns.format,
-        axis1=getattr(ns, "axis1", None),
-        axis2=getattr(ns, "axis2", None),
-        metric=getattr(ns, "metric", "p_sec"),
-        engine=getattr(ns, "engine", "analytic"),
-        grid_points=getattr(ns, "grid_points", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        manifest = build_manifest(argv)
-        return run(manifest)
+        ns = _build_parser().parse_args(argv)
+        runner, _ = _RUNNERS[ns.command]
+        doc, header, rows, code = runner(_load_config(ns), ns)
+        _emit(_as_json(doc) if ns.format == "json" else _as_csv(header, rows), ns.out)
+        return code
     except ArithmeticError as e:  # quadrature non-convergence and kin
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -157,10 +157,16 @@ def gamma_grid(grid_points: int | None = None) -> tuple[float, ...]:
     return tuple(i / grid_points for i in range(1, grid_points + 1))
 
 
-def optimize_gamma_detailed(cfg: NetworkConfig, grid_points: int | None = None,
-                            quad: QuadratureSpec = DEFAULT_QUAD
-                            ) -> tuple[float, float, tuple[float, ...], list[float]]:
-    """optimize_gamma plus the evaluated grid, for callers that report it."""
+def optimize_gamma(cfg: NetworkConfig, grid_points: int | None = None,
+                   quad: QuadratureSpec = DEFAULT_QUAD
+                   ) -> tuple[float, float, tuple[float, ...], list[float]]:
+    """Maximize the analytic secure-communication probability over the
+    message power share: grid search plus golden-section refinement on the
+    best bracket.  The result never falls below the best grid value.
+
+    Returns ``(gamma_star, p_sec_star, grid, values)``, where ``values`` are
+    the secure probabilities at the ``grid`` points.
+    """
     grid = gamma_grid(grid_points)
 
     def objective(g: float) -> float:
@@ -174,12 +180,3 @@ def optimize_gamma_detailed(cfg: NetworkConfig, grid_points: int | None = None,
     if values[best] >= p_star:
         g_star, p_star = grid[best], values[best]
     return g_star, p_star, grid, values
-
-
-def optimize_gamma(cfg: NetworkConfig, grid_points: int | None = None,
-                   quad: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
-    """Maximize the analytic secure-communication probability over the
-    message power share: grid search plus golden-section refinement on the
-    best bracket.  The result never falls below the best grid value."""
-    g_star, p_star, _, _ = optimize_gamma_detailed(cfg, grid_points, quad)
-    return g_star, p_star

@@ -5,7 +5,8 @@ Satellites of a constellation tier live on a sphere of radius
 Earth sphere itself.  Everything a receiver cares about reduces to the
 central angle between two points, so this module provides angle/distance
 conversion, visibility caps, the nearest-satellite (contact) angle law,
-and random sampling of points on spheres and spherical caps.
+and sampling of the polar-angle cosines of points uniform on a sphere or a
+spherical cap (azimuths never enter any observable, so none are drawn).
 
 The reference ground device sits at polar angle 0 (the "north pole" of the
 coordinate frame), so the central angle between it and any satellite is
@@ -19,31 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
-
-
-@dataclass(frozen=True)
-class SphericalPoint:
-    """Point in Earth-centered spherical coordinates."""
-
-    polar_angle: float  # rad, in [0, pi]
-    azimuth: float      # rad, in [0, 2*pi)
-    radius_km: float    # > 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.polar_angle <= math.pi:
-            raise ValueError(f"polar_angle must be in [0, pi], got {self.polar_angle}")
-        if not 0.0 <= self.azimuth < 2.0 * math.pi:
-            raise ValueError(f"azimuth must be in [0, 2*pi), got {self.azimuth}")
-        if not self.radius_km > 0.0:
-            raise ValueError(f"radius_km must be positive, got {self.radius_km}")
-
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.polar_angle)
-        return np.array([
-            st * math.cos(self.azimuth),
-            st * math.sin(self.azimuth),
-            math.cos(self.polar_angle),
-        ])
 
 
 @dataclass(frozen=True)
@@ -172,41 +148,3 @@ def sample_sphere_cosines(rng: np.random.Generator, count: int) -> np.ndarray:
 def sample_cap_cosines(rng: np.random.Generator, cap_angle: float, count: int) -> np.ndarray:
     """cos(central angle from cap center) for points uniform on a cap."""
     return rng.uniform(math.cos(cap_angle), 1.0, count)
-
-
-def sample_uniform_sphere(rng: np.random.Generator, radius_km: float = 1.0) -> SphericalPoint:
-    """One point uniform on the sphere of the given radius."""
-    cos_t = rng.uniform(-1.0, 1.0)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    return SphericalPoint(polar_angle=math.acos(cos_t), azimuth=azimuth, radius_km=radius_km)
-
-
-def sample_cap_poisson(density_per_km2: float, cap_angle: float, shell_radius_km: float,
-                       rng: np.random.Generator) -> list[SphericalPoint]:
-    """Poisson point process restricted to the cap centered at polar angle 0.
-
-    The point count is Poisson with mean ``density * cap_area``; given the
-    count, points are i.i.d. uniform on the cap.
-    """
-    if density_per_km2 < 0.0:
-        raise ValueError(f"density_per_km2 must be nonnegative, got {density_per_km2}")
-    if density_per_km2 == 0.0:
-        return []
-    mean = density_per_km2 * cap_area_km2(cap_angle, shell_radius_km)
-    n = int(rng.poisson(mean))
-    cos_t = sample_cap_cosines(rng, cap_angle, n)
-    azimuths = rng.uniform(0.0, 2.0 * math.pi, n)
-    return [SphericalPoint(polar_angle=math.acos(min(c, 1.0)), azimuth=a, radius_km=shell_radius_km)
-            for c, a in zip(cos_t, azimuths)]
-
-
-def central_angle_between(a: SphericalPoint, b: SphericalPoint) -> float:
-    """Central angle between two points, ignoring their radii.
-
-    Uses atan2(|u x v|, u . v) rather than acos of the clamped dot product:
-    the dot of two equal unit vectors rounds just below 1, and acos would
-    amplify that to ~1e-8 instead of the exact 0 this must return.
-    """
-    u, v = a.unit_vector(), b.unit_vector()
-    cross = float(np.linalg.norm(np.cross(u, v)))
-    return math.atan2(cross, float(np.dot(u, v)))

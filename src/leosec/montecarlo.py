@@ -216,31 +216,32 @@ def estimate_laplace(cfg: NetworkConfig, tier_index: int, s_grid,
     return out
 
 
+def _max_cosines(num_satellites: int, n_constellations: int, seed: int,
+                 batch: int) -> np.ndarray:
+    """Largest polar-angle cosine (i.e. the nearest satellite) of each of
+    ``n_constellations`` sampled constellations of N uniform shell points;
+    -inf for an empty constellation."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_constellations)
+    filled = 0
+    while filled < n_constellations:
+        b = min(batch, n_constellations - filled)
+        cos_t = rng.uniform(-1.0, 1.0, (b, num_satellites))
+        out[filled:filled + b] = cos_t.max(axis=1, initial=-np.inf)
+        filled += b
+    return out
+
+
 def empirical_availability(num_satellites: int, theta_max: float,
                            n_constellations: int, seed: int,
                            batch: int = 20_000) -> float:
     """Fraction of sampled constellations with a satellite inside the cap."""
-    rng = np.random.default_rng(seed)
-    cos_max = math.cos(theta_max)
-    hits = 0
-    remaining = n_constellations
-    while remaining > 0:
-        b = min(batch, remaining)
-        cos_t = rng.uniform(-1.0, 1.0, (b, num_satellites))
-        hits += int((cos_t >= cos_max).any(axis=1).sum())
-        remaining -= b
-    return hits / n_constellations
+    max_cos = _max_cosines(num_satellites, n_constellations, seed, batch)
+    return int((max_cos >= math.cos(theta_max)).sum()) / n_constellations
 
 
 def sample_nearest_angles(num_satellites: int, n_samples: int, seed: int,
                           batch: int = 20_000) -> np.ndarray:
-    """Nearest-satellite central angles over sampled constellations."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    filled = 0
-    while filled < n_samples:
-        b = min(batch, n_samples - filled)
-        cos_t = rng.uniform(-1.0, 1.0, (b, num_satellites))
-        out[filled:filled + b] = np.arccos(np.clip(cos_t.max(axis=1), -1.0, 1.0))
-        filled += b
-    return out
+    """Nearest-satellite central angles over sampled constellations (pi
+    for an empty constellation)."""
+    return np.arccos(np.clip(_max_cosines(num_satellites, n_samples, seed, batch), -1.0, 1.0))

@@ -308,3 +308,24 @@ class TestFullReport:
     def test_report_validation(self):
         with pytest.raises(ValueError):
             MetricsReport(p_av_per_tier=(0.5,), p_cov=1.2, p_suc=0.5, p_out=0.5, p_sec=0.25)
+
+
+def test_coverage_rounding_past_availability_is_clipped(table2):
+    # A one-tier scenario whose coverage integral rounds to 1 + 3.6e-15, past
+    # the tier's availability; full_report used to reject it.
+    cfg = replace(table2, tiers=(Tier(733.0622721139226, 3201),), legit_tier=0,
+                  fading=replace(table2.fading, shape_m1=5),
+                  beta_ls=5.653424715587807e-06, beta_es=0.39403864688113355)
+    assert full_report(cfg).p_cov == availability_probability(cfg.legit_geometry())
+
+
+@pytest.mark.parametrize("metric, fragments", [
+    (coverage_probability, ("coverage", "tier 1")),
+    (secrecy_outage_probability, ("secrecy outage", "tier 0")),
+])
+def test_quadrature_error_names_metric_and_tier(table2, metric, fragments):
+    coarse = QuadratureSpec(nodes_per_panel=2, panels=1, rel_tolerance=1e-15)
+    with pytest.raises(QuadratureError) as info:
+        metric(table2, coarse)
+    for fragment in fragments:
+        assert fragment in str(info.value)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from leosec.channel import (FadingParams, RadioParams, db_to_linear, dbm_to_watts,
                             gamma_fade_ccdf_bound, noise_power, path_gain,
-                            received_power, sample_fade, sample_fades,
+                            received_power, sample_fades,
                             sinr_eavesdropper, sinr_legitimate)
 
 from conftest import ks_distance
@@ -115,9 +115,6 @@ class TestFadingLaw:
         samples = sample_fades(fading_default, rng, n)
         # exponential: std == mean == scale_m2
         assert abs(samples.mean() - 0.1269) < 3.0 * 0.1269 / math.sqrt(n)
-
-    def test_scalar_sample(self, fading_default):
-        assert sample_fade(fading_default, np.random.default_rng(1)) >= 0.0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from leosec.cli import (EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, RunManifest,
-                        CliInputError, build_manifest, main, parse_config)
+from leosec.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, main, parse_config
 from leosec.config import ConfigError, config_to_dict, table2_config
 
 
@@ -227,12 +226,10 @@ class TestParseConfig:
             parse_config("[1, 2, 3]")
 
 
-def test_manifest_validation():
-    with pytest.raises(CliInputError):
-        RunManifest(command="analyze", seed=0)
-    with pytest.raises(CliInputError):
-        RunManifest(command="analyze", n_trials=0)
-    with pytest.raises(CliInputError):
-        RunManifest(command="bogus")
-    m = build_manifest(["analyze", "--seed", "4"])
-    assert m.command == "analyze" and m.seed == 4
+def test_manifest_validation(capsys):
+    # seed and trial count below 1 are rejected while parsing, for any command
+    for argv in (["analyze", "--seed", "0"], ["simulate", "--trials", "0"],
+                 ["validate", "--trials", "-3"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ")

@@ -5,8 +5,7 @@ import pytest
 from leosec import analytics
 from leosec.config import ConfigError, Tier, table2_config, with_parameter
 from leosec.experiments import (ABS_TOLERANCE, SweepRow, SweepSpec, ValidationRow,
-                                gamma_grid, optimize_gamma, optimize_gamma_detailed,
-                                sweep, validate)
+                                gamma_grid, optimize_gamma, sweep, validate)
 
 
 class TestValidate:
@@ -84,21 +83,21 @@ class TestOptimizeGamma:
         # an unreachable eavesdropper threshold makes outage certain, so the
         # optimum chases pure link success, which grows with the power share
         cfg = replace(table2, beta_es=1e6)
-        g_star, p_star = optimize_gamma(cfg)
+        g_star, p_star, _, _ = optimize_gamma(cfg)
         assert g_star >= 0.99
         assert p_star == pytest.approx(
             analytics.secure_probability(with_parameter(cfg, "gamma", g_star)), rel=1e-12)
 
     def test_result_not_below_any_grid_value(self, table2):
-        g_star, p_star, grid, values = optimize_gamma_detailed(table2, grid_points=6)
+        g_star, p_star, grid, values = optimize_gamma(table2, grid_points=6)
         assert p_star >= max(values)
         assert len(grid) == len(values) == 6
 
     def test_denser_devices_push_optimum_up(self, table2):
         sparse = with_parameter(table2, "device_density", 1e-6)
         dense = with_parameter(table2, "device_density", 1e-4)
-        g_sparse, _ = optimize_gamma(sparse, grid_points=9)
-        g_dense, _ = optimize_gamma(dense, grid_points=9)
+        g_sparse = optimize_gamma(sparse, grid_points=9)[0]
+        g_dense = optimize_gamma(dense, grid_points=9)[0]
         assert g_dense > g_sparse
 
     def test_default_grid(self):

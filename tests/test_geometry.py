@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leosec import geometry
-from leosec.geometry import (SphericalPoint, TierGeometry, cap_area_km2,
-                             central_angle_between, central_angle_to_distance,
+from leosec.geometry import (TierGeometry, cap_area_km2, central_angle_to_distance,
                              contact_angle_cdf, contact_angle_pdf, max_central_angle,
-                             sample_cap_poisson, sample_sphere_cosines,
-                             sample_uniform_sphere, tier_geometry)
+                             sample_cap_cosines, sample_sphere_cosines, tier_geometry)
 
 from conftest import ks_distance
 
@@ -184,69 +182,22 @@ class TestSphereSampling:
         # mean of cos(polar) has variance 1/3 under the uniform law
         assert abs(float(cos_t.mean())) < 3.0 * math.sqrt(1.0 / 3.0 / n)
 
-    def test_uniform_sphere_points_valid(self):
-        rng = np.random.default_rng(3)
-        pts = [sample_uniform_sphere(rng, radius_km=6871.0) for _ in range(5000)]
-        assert all(0.0 <= p.polar_angle <= math.pi for p in pts)
-        assert all(0.0 <= p.azimuth < 2 * math.pi for p in pts)
-        assert all(p.radius_km == 6871.0 for p in pts)
-        frac = sum(p.polar_angle <= math.pi / 2 for p in pts) / len(pts)
-        assert abs(frac - 0.5) < 3.0 * math.sqrt(0.25 / len(pts))
-
-    def test_cap_poisson_zero_density(self):
-        rng = np.random.default_rng(0)
-        assert sample_cap_poisson(0.0, 0.1585, RE, rng) == []
-
-    def test_cap_poisson_mean_count(self):
-        # Poisson mean = density * 2*pi*R^2*(1 - cos(cap)) = 3.1967908316715063
-        rng = np.random.default_rng(11)
-        draws = 10_000
-        counts = [len(sample_cap_poisson(1e-6, 0.1585, RE, rng)) for _ in range(draws)]
-        mean = sum(counts) / draws
-        expected = 1e-6 * cap_area_km2(0.1585, RE)
-        assert expected == pytest.approx(3.1967908316715063, rel=1e-12)
-        assert abs(mean - expected) < 3.0 * math.sqrt(expected / draws)
-
-    def test_cap_poisson_points_inside_cap(self):
+    def test_cap_cosines_inside_cap(self):
         rng = np.random.default_rng(5)
-        pts = sample_cap_poisson(3e-6, 0.3, RE, rng)
-        assert pts  # mean count ~ 35
-        assert all(p.polar_angle <= 0.3 + 1e-12 for p in pts)
-        assert all(p.radius_km == RE for p in pts)
+        n = 100_000
+        cos_a = sample_cap_cosines(rng, 0.3, n)
+        assert np.all((cos_a >= math.cos(0.3)) & (cos_a <= 1.0))
+        # uniform on the cap means cos is uniform on [cos(cap), 1]
+        width = 1.0 - math.cos(0.3)
+        assert abs(float(cos_a.mean()) - (1.0 - width / 2.0)) < 3.0 * width / math.sqrt(12.0 * n)
 
-
-class TestCentralAngleBetween:
-    def test_identical_points(self):
-        p = SphericalPoint(0.3, 1.0, 7000.0)
-        assert central_angle_between(p, p) == 0.0
-
-    def test_antipodal(self):
-        a = SphericalPoint(0.0, 0.0, 7000.0)
-        b = SphericalPoint(math.pi, 0.0, 7000.0)
-        assert central_angle_between(a, b) == pytest.approx(math.pi)
-
-    def test_orthogonal_equatorial(self):
-        a = SphericalPoint(math.pi / 2, 0.0, 1.0)
-        b = SphericalPoint(math.pi / 2, math.pi / 2, 1.0)
-        assert central_angle_between(a, b) == pytest.approx(math.pi / 2)
-
-    @given(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi - 1e-9),
-           st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi - 1e-9))
-    def test_symmetric(self, t1, a1, t2, a2):
-        p = SphericalPoint(t1, a1, 1.0)
-        q = SphericalPoint(t2, a2, 1.0)
-        assert central_angle_between(p, q) == central_angle_between(q, p)
+    def test_cap_area_value(self):
+        # 1e-6 devices/km^2 on this cap give a Poisson mean of
+        # density * 2*pi*R^2*(1 - cos(cap)) = 3.1967908316715063
+        assert 1e-6 * cap_area_km2(0.1585, RE) == pytest.approx(3.1967908316715063, rel=1e-12)
 
 
 class TestTypes:
-    def test_spherical_point_invariants(self):
-        with pytest.raises(ValueError):
-            SphericalPoint(-0.1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            SphericalPoint(0.1, 7.0, 1.0)
-        with pytest.raises(ValueError):
-            SphericalPoint(0.1, 0.0, 0.0)
-
     def test_tier_geometry_invariants(self):
         with pytest.raises(ValueError):
             TierGeometry(6871.0, -1, 0.3)

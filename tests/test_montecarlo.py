@@ -136,6 +136,16 @@ class TestSamplingHelpers:
         assert samples.shape == (5000,)
         assert np.all((samples >= 0.0) & (samples <= math.pi))
 
+    @pytest.mark.parametrize("n_sats, theta", [(1, 0.3), (10, 0.5), (100, 0.1585), (7, 1.2)])
+    def test_availability_is_nearest_angle_within_cap(self, n_sats, theta):
+        # both draw the same constellations from the seed, batch by batch
+        emp = empirical_availability(n_sats, theta, 5000, seed=12, batch=1500)
+        angles = sample_nearest_angles(n_sats, 5000, seed=12, batch=1500)
+        assert emp == float(np.mean(angles <= theta))
+
+    def test_availability_without_satellites_is_zero(self):
+        assert empirical_availability(0, math.pi / 2, 100, seed=1) == 0.0
+
 
 def test_default_thread_count(monkeypatch):
     monkeypatch.delenv(montecarlo.THREADS_ENV_VAR, raising=False)
