@@ -13,15 +13,20 @@ Five probabilities describe one uplink scenario:
 
 Interference from other ground devices enters through the Laplace transform
 of the aggregate interference power at a receiver, E[exp(-s * I)].  For a
-Poisson field of devices on the receiver's visibility cap with the Gamma
-channel-gain law, the transform reduces to a single smooth integral over the
-central angle, which is evaluated with a composite Gauss-Legendre rule.
+Poisson field of devices on the receiver's visibility cap with the
+Gamma(m1, scale m2) interferer-gain law, the transform's exponent is an
+integral over the central angle.  Substituting u = d(theta)^2 (the squared
+slant distance) makes its integrand the rational function
+1 - (u / (u + A))^m1, whose integral is a logarithm plus a polynomial in
+t = u / (u + A) for integer m1; see ``interference_laplace``.  The transform
+is therefore exact and quadrature-free.
 
 Coverage and outage integrate a conditional SINR-threshold probability -- a
 finite alternating binomial sum in the fading shape -- against the relevant
-contact-angle density.  Every integral here is 1-D on a bounded interval
-with a smooth integrand, so the fixed-node composite rule with one
-panel-doubling convergence check is both fast and reliable.
+contact-angle density.  These outer integrals are the only quadrature left:
+each is 1-D on a bounded interval with a smooth integrand, so the
+fixed-node composite Gauss-Legendre rule with one panel-doubling convergence
+check (``QuadratureSpec``) is both fast and reliable.
 """
 from __future__ import annotations
 
@@ -121,33 +126,55 @@ def availability_probability(tier: TierGeometry) -> float:
                                    tier.max_central_angle))
 
 
-def interference_laplace(s, tier: TierGeometry, cfg: NetworkConfig,
-                         quad: QuadratureSpec = DEFAULT_QUAD):
+def interference_laplace(s, tier: TierGeometry, cfg: NetworkConfig):
     """E[exp(-s * I)] for the device-field interference at one receiver.
 
     The receiver sees a Poisson device field on its visibility cap; averaging
-    the per-device factor over the Gamma gain law and the cap area gives
+    the per-device factor over the Gamma(m1, scale m2) gain law and the cap
+    area gives (Laplace functional of the Poisson field)
 
         exp(-lambda * 2*pi*Re^2 * integral_0^theta_max
             [1 - (1 + m2*s*P*G*pg(d(theta)))^(-m1)] sin(theta) dtheta)
 
-    with pg the free-space power gain at the slant distance d(theta).
-    Accepts a scalar or ndarray ``s`` (1/W); returns a value in (0, 1].
+    with pg the free-space power gain at the slant distance d(theta).  As
+    pg(d) = pg(1 km) / d^2, the substitution u = d(theta)^2 (so that
+    sin(theta) dtheta = du / (2*Re*Rs)) turns the integrand into
+    1 - (u / (u + A))^m1 with A = s*m2*P*G*pg(1 km) in km^2.  With
+    t = u / (u + A), u0 = (Rs - Re)^2 and u1 = d(theta_max)^2, its integral
+    is elementary for integer m1:
+
+        A * [m1 * log1p((u1 - u0) / (u0 + A))
+             - sum_{i=0}^{m1-2} (m1-1-i)/(i+1) * (t1^(i+1) - t0^(i+1))]
+
+    No quadrature is involved.  Accepts a scalar or ndarray ``s`` (1/W);
+    returns a value in (0, 1], exactly 1 where s = 0 (then A = 0 and every
+    term vanishes).
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0.0):
         raise ValueError("s must be nonnegative")
-    radio, fading = cfg.radio, cfg.fading
-    coef = fading.scale_m2 * radio.tx_power_w * radio.antenna_gain_linear
-
-    def integrand(theta):
-        d = central_angle_to_distance(theta, tier.shell_radius_km, cfg.earth_radius_km)
-        base = coef * path_gain(d, radio.carrier_hz)
-        x = s_arr[:, None] * base[None, :]
-        return (1.0 - (1.0 + x) ** (-fading.shape_m1)) * np.sin(theta)[None, :]
-
-    integral = integrate(integrand, 0.0, tier.max_central_angle, quad)
-    area_coef = cfg.device_density_per_km2 * 2.0 * math.pi * cfg.earth_radius_km ** 2
+    radio, m1 = cfg.radio, cfg.fading.shape_m1
+    re, rs = cfg.earth_radius_km, tier.shell_radius_km
+    a = s_arr * (cfg.fading.scale_m2 * radio.tx_power_w * radio.antenna_gain_linear
+                 * path_gain(1.0, radio.carrier_hz))
+    u0 = (rs - re) ** 2
+    # u1 - u0 = 2*Re*Rs*(1 - cos(theta_max)), formed without cancellation
+    du = 4.0 * re * rs * math.sin(0.5 * tier.max_central_angle) ** 2
+    u1 = u0 + du
+    t0, t1 = u0 / (u0 + a), u1 / (u1 + a)
+    # On a narrow cap t1 ~ t0, so build t1^k - t0^k by the recurrence
+    # t0 * (t1^(k-1) - t0^(k-1)) + t1^(k-1) * (t1 - t0) from the exact
+    # t1 - t0, never as a difference of nearly equal powers
+    dt = a * du / ((u0 + a) * (u1 + a))
+    poly = np.zeros_like(a)
+    diff_k = np.zeros_like(a)        # t1^k - t0^k
+    t1_pow = np.ones_like(a)         # t1^(k-1)
+    for k in range(1, m1):
+        diff_k = diff_k * t0 + dt * t1_pow
+        t1_pow = t1_pow * t1
+        poly += (m1 - k) / k * diff_k
+    integral = a * (m1 * np.log1p(du / (u0 + a)) - poly)
+    area_coef = cfg.device_density_per_km2 * math.pi * re / rs
     out = np.exp(-area_coef * integral)
     return float(out[0]) if np.ndim(s) == 0 else out
 
@@ -194,8 +221,7 @@ def s_es(theta, cfg: NetworkConfig, tier: TierGeometry):
     return _link_scaling(theta, cfg, tier, cfg.beta_es, margin)
 
 
-def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig,
-                                  quad: QuadratureSpec) -> np.ndarray:
+def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig) -> np.ndarray:
     """P[link SINR > threshold | angle], for the angle-dependent scalings
     ``s_vals``: alternating binomial sum over the fading shape, each term
     weighting the noise factor by the interference transform."""
@@ -204,7 +230,7 @@ def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig
     acc = np.zeros_like(s_vals)
     for q in range(1, m1 + 1):
         term = math.comb(m1, q) * (-1.0) ** (q + 1)
-        acc += term * np.exp(-q * s_vals * noise) * interference_laplace(q * s_vals, tier, cfg, quad)
+        acc += term * np.exp(-q * s_vals * noise) * interference_laplace(q * s_vals, tier, cfg)
     # the sum is a probability; clip rounding dust from the alternation
     return np.clip(acc, 0.0, 1.0)
 
@@ -224,7 +250,7 @@ def coverage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD
 
     def integrand(theta):
         s_vals = _link_scaling(theta, cfg, geom, cfg.beta_ls, cfg.radio.info_ratio)
-        exceed = _threshold_exceed_given_angle(s_vals, geom, cfg, quad)
+        exceed = _threshold_exceed_given_angle(s_vals, geom, cfg)
         return exceed * contact_angle_pdf(theta, geom.num_satellites, geom.max_central_angle)
 
     try:
@@ -245,12 +271,15 @@ def successful_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QU
 def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """P[every eavesdropper in every non-serving tier stays below beta_es].
 
-    Per tier, a single satellite's below-threshold probability is the cap
-    integral of the conditional probability against the single-satellite
-    angle density sin(theta)/2, plus the mass (1 + cos(theta_max))/2 of never
-    being in view; independence across the tier's satellites raises that
-    bracket to the satellite count (evaluated in log domain).  A
-    QuadratureError names the metric and the eavesdropper tier.
+    Per tier, a single satellite's below-threshold probability is one minus
+    the cap integral of its exceed probability against the single-satellite
+    angle density sin(theta)/2 (never being in view counts as below);
+    independence across the tier's satellites raises that bracket to the
+    satellite count, evaluated as N * log1p(-integral).  Integrating the
+    exceed probability, not its complement, keeps the quadrature's relative
+    convergence test meaningful when the threshold is tiny and the
+    complement is rounding dust.  A QuadratureError names the metric and the
+    eavesdropper tier.
     """
     if an_ceiling(cfg.radio.info_ratio, cfg.beta_es):
         return 1.0
@@ -260,20 +289,19 @@ def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAUL
             continue
 
         def integrand(theta, geom=geom):
-            exceed = _threshold_exceed_given_angle(s_es(theta, cfg, geom), geom, cfg, quad)
-            return (1.0 - exceed) * np.sin(theta) / 2.0
+            exceed = _threshold_exceed_given_angle(s_es(theta, cfg, geom), geom, cfg)
+            return exceed * np.sin(theta) / 2.0
 
         try:
-            below = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
+            mass = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
         except QuadratureError as e:
             raise QuadratureError(f"secrecy outage, tier {k}: {e}") from e
-        bracket = below + 0.5 * (1.0 + math.cos(geom.max_central_angle))
-        if bracket < -_BRACKET_SLACK or bracket > 1.0 + _BRACKET_SLACK:
-            raise ArithmeticError(f"per-satellite bracket {bracket} outside [0, 1]")
-        bracket = min(max(bracket, 0.0), 1.0)
-        if bracket == 0.0:
+        if mass < -_BRACKET_SLACK or mass > 1.0 + _BRACKET_SLACK:
+            raise ArithmeticError(f"per-satellite bracket {1.0 - mass} outside [0, 1]")
+        mass = min(max(mass, 0.0), 1.0)
+        if mass == 1.0:
             return 0.0
-        log_total += geom.num_satellites * math.log(bracket)
+        log_total += geom.num_satellites * math.log1p(-mass)
     return math.exp(log_total)
 
 
@@ -303,7 +331,13 @@ class MetricsReport:
 
 
 def full_report(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> MetricsReport:
-    """Evaluate all metrics; p_suc and p_sec are exact products by construction."""
+    """Evaluate all metrics; p_suc and p_sec are exact products by construction.
+
+    Every value lies in [0, 1], with p_cov <= the serving tier's
+    availability and p_sec <= p_suc.  Raises QuadratureError when an outer
+    integral does not converge within ``quad``'s doubling budget, and
+    ArithmeticError when a result misses its bound by more than rounding.
+    """
     p_av = tuple(availability_probability(g) for g in cfg.tier_geometries())
     p_cov = coverage_probability(cfg, quad)
     p_suc = p_av[cfg.legit_tier] * p_cov

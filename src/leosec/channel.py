@@ -4,11 +4,20 @@ All computation is done in SI units (watts, Hz); dB/dBm values are converted
 once at the interface.  Distances cross the module boundary in km and are
 converted to meters internally.
 
-Small-scale fading follows a two-parameter law: the channel power gain is
-distributed as the maximum of ``shape_m1`` i.i.d. exponentials with scale
-``scale_m2 * (m1!)**(1/m1)``, whose CDF is ``(1 - exp(-rate * x)) ** m1``.
-The same law drives both the closed-form expressions and the sampler, so
-the two engines share one channel model.
+Small-scale fading uses two laws with the same parameters (shape ``m1``,
+scale ``m2``):
+
+* the serving and eavesdropper links: the channel power gain is the maximum
+  of ``shape_m1`` i.i.d. exponentials with scale ``scale_m2 * (m1!)**(1/m1)``,
+  whose CDF is ``(1 - exp(-rate * x)) ** m1`` (``gamma_fade_ccdf_bound``,
+  ``sample_fades``);
+* interfering devices: the gain is Gamma(m1, scale m2), whose moment
+  generating function ``(1 + m2 * x) ** -m1`` enters the interference
+  Laplace transform.
+
+The two laws coincide at m1 = 1.  The closed-form expressions and the
+simulator use the same law for each role, so the two engines share one
+channel model.
 
 The transmitter splits its power: a fraction ``info_ratio`` carries the
 message and the remainder carries a jamming component that the intended

@@ -209,7 +209,8 @@ def _build_parser() -> _Parser:
         src.add_argument("--preset", metavar="NAME", help="built-in scenario (table2)")
         p.add_argument("--seed", type=_positive_int, default=1)
         p.add_argument("--trials", type=_positive_int, default=10_000)
-        p.add_argument("--quad-nodes", type=int, default=None)
+        p.add_argument("--quad-nodes", type=int, default=None,
+                       help="Gauss-Legendre nodes per panel of the coverage and outage integrals")
         p.add_argument("--out", metavar="PATH", help="write results here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default=fmt)
         if command == "sweep":

@@ -4,8 +4,9 @@ Each trial draws a fresh world: satellite positions per tier (independent
 uniform points on each shell), the serving link's channel gain, and -- for
 every receiver that can see the reference device -- an independent Poisson
 field of interfering devices on that receiver's visibility cap with i.i.d.
-channel gains.  SINRs follow from the same link model the closed forms use,
-so the two engines agree in distribution and differ only by sampling noise.
+Gamma(m1, scale m2) channel gains.  SINRs follow from the same link model
+the closed forms use, so the two engines agree in distribution and differ
+only by sampling noise.
 
 Because the reference device sits at polar angle 0, a satellite's central
 angle to it equals the satellite's polar angle, and interferers only matter
@@ -98,7 +99,10 @@ def _interference_fields(cfg, rng, tier_index, n_fields, cap_mean) -> np.ndarray
     cos_a = sample_cap_cosines(rng, geom.max_central_angle, total)
     d = np.sqrt(cfg.earth_radius_km ** 2 + geom.shell_radius_km ** 2
                 - 2.0 * cfg.earth_radius_km * geom.shell_radius_km * cos_a)
-    powers = received_power(cfg.radio, d, sample_fades(cfg.fading, rng, total))
+    # interferer gains follow the Gamma(m1, scale m2) law the closed-form
+    # transform averages over, not the serving/eavesdropper link law
+    gains = rng.gamma(cfg.fading.shape_m1, cfg.fading.scale_m2, total)
+    powers = received_power(cfg.radio, d, gains)
     owner = np.repeat(np.arange(n_fields), counts)
     return np.bincount(owner, weights=powers, minlength=n_fields)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leosec import analytics, montecarlo
 from leosec.analytics import (ANCeilingError, DEFAULT_QUAD, MetricsReport,
@@ -250,10 +250,8 @@ class TestShapeTwoFading:
         assert abs(out - est["p_out"].mean) <= 3.0 * est["p_out"].stderr
 
     def test_with_interference_within_band(self, table2):
-        # with devices present the transform models interferer fades through
-        # the Gamma moment generating function while the simulator draws
-        # max-of-exponentials; at shape 2 the residual stays inside the
-        # engine-agreement band (measured ~0.002 at default density)
+        # with devices present both engines draw interferer gains from the
+        # Gamma law and link gains from the max-of-exponentials law
         cfg = replace(table2, fading=replace(table2.fading, shape_m1=2))
         est = montecarlo.estimate(cfg, 6000, master_seed=123)
         assert abs(coverage_probability(cfg) - est["p_cov"].mean) <= \
@@ -317,6 +315,52 @@ def test_coverage_rounding_past_availability_is_clipped(table2):
                   fading=replace(table2.fading, shape_m1=5),
                   beta_ls=5.653424715587807e-06, beta_es=0.39403864688113355)
     assert full_report(cfg).p_cov == availability_probability(cfg.legit_geometry())
+
+
+def assert_report_in_range(cfg, r):
+    p_av = r.p_av_per_tier[cfg.legit_tier]
+    for v in (*r.p_av_per_tier, r.p_cov, r.p_suc, r.p_out, r.p_sec):
+        assert 0.0 <= v <= 1.0
+    assert r.p_cov <= p_av
+    assert r.p_sec <= r.p_suc
+
+
+@pytest.mark.parametrize("tiers, legit, beta_ls, beta_es", [
+    # fuzz-range scenarios whose outage quadrature used to fail: at a tiny
+    # beta_es the below-threshold integrand was rounding dust
+    (((32003.261037644104, 3233), (469.98043213069, 4581)), 0,
+     5.150416985722238e-05, 4.752407042117199e-06),
+    (((35306.44351195311, 3799), (12885.104637740438, 898)), 0,
+     224.17295858554402, 1.4441065255565709e-06),
+])
+def test_tiny_eavesdropper_threshold_evaluates(table2, tiers, legit, beta_ls, beta_es):
+    cfg = replace(table2, tiers=tuple(Tier(a, n) for a, n in tiers), legit_tier=legit,
+                  fading=replace(table2.fading, shape_m1=5), beta_ls=beta_ls, beta_es=beta_es)
+    assert_report_in_range(cfg, full_report(cfg))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Configs over the fuzz ranges: 1-4 tiers at 160-36,000 km with 0-5,000
+    satellites, fading shape 1-5, thresholds 1e-6..1e3 (log-uniform)."""
+    log_threshold = st.floats(math.log(1e-6), math.log(1e3))
+    tiers = draw(st.lists(st.tuples(st.floats(math.log(160.0), math.log(36_000.0)),
+                                    st.integers(0, 5_000)), min_size=1, max_size=4))
+    base = table2_config()
+    return replace(base, tiers=tuple(Tier(math.exp(a), n) for a, n in tiers),
+                   legit_tier=draw(st.integers(0, len(tiers) - 1)),
+                   fading=replace(base.fading, shape_m1=draw(st.integers(1, 5))),
+                   beta_ls=math.exp(draw(log_threshold)), beta_es=math.exp(draw(log_threshold)))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(fuzz_configs())
+def test_full_report_in_range_or_typed_error(cfg):
+    try:
+        r = full_report(cfg)
+    except ArithmeticError:  # QuadratureError included, as full_report documents
+        return
+    assert_report_in_range(cfg, r)
 
 
 @pytest.mark.parametrize("metric, fragments", [

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from leosec import analytics
+from leosec.channel import db_to_linear
 from leosec.config import ConfigError, Tier, table2_config, with_parameter
 from leosec.experiments import (ABS_TOLERANCE, SweepRow, SweepSpec, ValidationRow,
                                 gamma_grid, optimize_gamma, sweep, validate)
@@ -30,6 +31,14 @@ class TestValidate:
         cfg = replace(table2, device_density_per_km2=0.0)
         row = {r.metric: r for r in validate(cfg, n_trials=1200, seed=3)}["p_cov"]
         assert row.passed
+
+    def test_interference_limited_shape_three_rows_pass(self, table2):
+        # interference-limited coverage at fading shape 3: the engines agree
+        # only if both draw interferer gains from the same (Gamma) law
+        cfg = replace(table2, fading=replace(table2.fading, shape_m1=3),
+                      beta_ls=db_to_linear(-20.0))
+        for r in validate(cfg, n_trials=5000, seed=1):
+            assert r.passed, f"{r.metric}: |{r.analytic} - {r.mc_mean}| = {r.abs_diff}"
 
 
 class TestSweep:

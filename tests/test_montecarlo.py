@@ -105,6 +105,15 @@ class TestEstimateLaplace:
         (est,) = estimate_laplace(table2, 0, [s], 30_000, seed=21)
         assert abs(est.mean - analytics.interference_laplace(s, geom, table2)) <= 3 * est.stderr
 
+    def test_agrees_with_transform_at_shape_three(self, table2):
+        # interferer gains must follow the Gamma law the transform averages
+        # over; the max-of-exponentials link law misses it by up to z = 40 here
+        cfg = replace(table2, fading=replace(table2.fading, shape_m1=3))
+        geom = cfg.tier_geometries()[0]
+        s_grid = [x / cfg.noise_w for x in (1e-4, 1e-3, 1e-2)]
+        for s, est in zip(s_grid, estimate_laplace(cfg, 0, s_grid, 100_000, seed=7)):
+            assert abs(est.mean - analytics.interference_laplace(s, geom, cfg)) <= 3 * est.stderr
+
     def test_rejects_negative_s(self, table2):
         with pytest.raises(ValueError):
             estimate_laplace(table2, 0, [-1.0], 100, seed=1)
