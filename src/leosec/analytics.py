@@ -200,20 +200,24 @@ def s_ls(theta, cfg: NetworkConfig):
     return _link_scaling(theta, cfg, cfg.legit_geometry(), cfg.beta_ls, cfg.radio.info_ratio)
 
 
+def _es_margin(info_ratio: float, beta_es: float) -> float:
+    """Eavesdropper's effective signal share, shrunk by the uncancelled jamming."""
+    return info_ratio - beta_es * (1.0 - info_ratio)
+
+
 def an_ceiling(info_ratio: float, beta_es: float) -> bool:
     """True when the jamming share caps eavesdropper SINR below beta_es."""
-    return info_ratio - beta_es * (1.0 - info_ratio) <= 0.0
+    return _es_margin(info_ratio, beta_es) <= 0.0
 
 
 def s_es(theta, cfg: NetworkConfig, tier: TierGeometry):
     """Eavesdropper counterpart of s_ls for a satellite of the given tier.
 
-    The uncancelled signal share shrinks the effective margin to
-    info_ratio - beta_es * (1 - info_ratio); raises ANCeilingError when that
-    margin is not positive (the threshold is unreachable).
+    Raises ANCeilingError when ``_es_margin`` is not positive (the threshold
+    is unreachable).
     """
     radio = cfg.radio
-    margin = radio.info_ratio - cfg.beta_es * (1.0 - radio.info_ratio)
+    margin = _es_margin(radio.info_ratio, cfg.beta_es)
     if margin <= 0.0:
         raise ANCeilingError(
             f"info_ratio {radio.info_ratio} is at or below the ceiling "
@@ -249,8 +253,7 @@ def coverage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD
         return 0.0
 
     def integrand(theta):
-        s_vals = _link_scaling(theta, cfg, geom, cfg.beta_ls, cfg.radio.info_ratio)
-        exceed = _threshold_exceed_given_angle(s_vals, geom, cfg)
+        exceed = _threshold_exceed_given_angle(s_ls(theta, cfg), geom, cfg)
         return exceed * contact_angle_pdf(theta, geom.num_satellites, geom.max_central_angle)
 
     try:

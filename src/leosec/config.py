@@ -1,15 +1,17 @@
-"""Scenario description and its JSON schema.
+"""Scenario description, its JSON schema, and its sweep parameters.
 
 A scenario is a multi-tier constellation above a field of ground devices:
-one tier is the serving (legitimate) tier, every other tier is treated as a
-population of potential eavesdroppers.  ``table2_config`` returns the
-built-in default scenario used throughout the test suite.
+one tier is the serving (legitimate) tier, every other tier is a population
+of potential eavesdroppers.  ``table2_config`` is the built-in default.
 
-The JSON schema encodes units in key names.  Human-written configs may give
-radio quantities in dB units (``tx_power_dbm``, ``antenna_gain_dbi``,
-``noise_density_dbm_per_hz``, ``beta_ls_db``, ``beta_es_db``); serialized
-configs use the linear keys (``tx_power_w``, ...) so that a dump/parse
-round trip reproduces the config exactly.
+Two tables define how a scenario is read, written and swept.  ``_SCHEMA``
+(``_TIER_SCHEMA`` inside each tier) has one row per JSON key: its owner,
+attribute, integer or not, and an optional dB spelling (``tx_power_dbm``,
+``beta_ls_db``, ...) with its converter.  Parsing, serialization (linear
+keys, so a dump/parse round trip is exact) and the unknown-key checks all
+walk it.  ``_SWEEPS`` maps each sweepable name to (integer, setter).  One
+rule covers every integer: a value that is not integral raises
+``ConfigError`` naming its key.
 """
 from __future__ import annotations
 
@@ -79,7 +81,8 @@ class NetworkConfig:
             for t in self.tiers)
 
     def legit_geometry(self) -> TierGeometry:
-        return self.tier_geometries()[self.legit_tier]
+        t = self.tiers[self.legit_tier]
+        return tier_geometry(t.altitude_km, t.num_satellites, self.theta_beam, self.earth_radius_km)
 
     @property
     def noise_w(self) -> float:
@@ -111,18 +114,38 @@ def table2_config() -> NetworkConfig:
 
 PRESETS = {"table2": table2_config}
 
-# (linear key, dB-unit key, converter) for each radio-ish scalar that may be
-# written in either unit system.
-_DUAL_UNIT_KEYS = (
-    ("tx_power_w", "tx_power_dbm", dbm_to_watts),
-    ("antenna_gain_linear", "antenna_gain_dbi", db_to_linear),
-    ("noise_density_w_per_hz", "noise_density_dbm_per_hz", dbm_to_watts),
-    ("beta_ls", "beta_ls_db", db_to_linear),
-    ("beta_es", "beta_es_db", db_to_linear),
+# (JSON key, owner: None (the config), "radio" or "fading", attribute, integer,
+# (dB key, converter) or None), in serialization order; "tiers" comes second.
+_SCHEMA = (
+    ("earth_radius_km", None, "earth_radius_km", False, None),
+    ("legit_tier", None, "legit_tier", True, None),
+    ("theta_beam_rad", None, "theta_beam", False, None),
+    ("device_density_per_km2", None, "device_density_per_km2", False, None),
+    ("carrier_hz", "radio", "carrier_hz", False, None),
+    ("tx_power_w", "radio", "tx_power_w", False, ("tx_power_dbm", dbm_to_watts)),
+    ("antenna_gain_linear", "radio", "antenna_gain_linear", False, ("antenna_gain_dbi", db_to_linear)),
+    ("noise_density_w_per_hz", "radio", "noise_density_w_per_hz", False,
+     ("noise_density_dbm_per_hz", dbm_to_watts)),
+    ("bandwidth_hz", "radio", "bandwidth_hz", False, None),
+    ("info_ratio", "radio", "info_ratio", False, None),
+    ("fading_shape_m1", "fading", "shape_m1", True, None),
+    ("fading_scale_m2", "fading", "scale_m2", False, None),
+    ("beta_ls", None, "beta_ls", False, ("beta_ls_db", db_to_linear)),
+    ("beta_es", None, "beta_es", False, ("beta_es_db", db_to_linear)),
 )
+_KEYS = {"tiers", *(row[0] for row in _SCHEMA), *(row[4][0] for row in _SCHEMA if row[4])}
+
+# (JSON key and Tier attribute, integer)
+_TIER_SCHEMA = (("altitude_km", False), ("num_satellites", True))
 
 
-def _get_number(d: dict, key: str) -> float:
+def _integer(field: str, value: float) -> int:
+    if not float(value).is_integer():
+        raise ConfigError(field, f"must be an integer, got {value}")
+    return int(value)
+
+
+def _number(d: dict, key: str) -> float:
     if key not in d:
         raise ConfigError(key, "missing required field")
     v = d[key]
@@ -133,26 +156,26 @@ def _get_number(d: dict, key: str) -> float:
     return float(v)
 
 
-def _get_dual(d: dict, linear_key: str, db_key: str, convert) -> float:
-    if linear_key in d and db_key in d:
-        raise ConfigError(linear_key, f"give either {linear_key} or {db_key}, not both")
-    if db_key in d:
-        return convert(_get_number(d, db_key))
-    return _get_number(d, linear_key)
+def _read(d: dict, key: str, integral: bool, db=None, path: str = ""):
+    """One schema row's value; the integer rule names ``path + key``."""
+    if db is not None and db[0] in d:
+        if key in d:
+            raise ConfigError(key, f"give either {key} or {db[0]}, not both")
+        return db[1](_number(d, db[0]))
+    return _integer(path + key, _number(d, key)) if integral else _number(d, key)
+
+
+def _reject_unknown(d: dict, known, path: str = "") -> None:
+    for key in d:
+        if key not in known:
+            raise ConfigError(path + key, "unknown field")
 
 
 def config_from_dict(d: dict) -> NetworkConfig:
     """Build and validate a NetworkConfig from parsed JSON."""
     if not isinstance(d, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    known = {"earth_radius_km", "tiers", "legit_tier", "theta_beam_rad",
-             "device_density_per_km2", "carrier_hz", "bandwidth_hz", "info_ratio",
-             "fading_shape_m1", "fading_scale_m2"}
-    known.update(k for pair in _DUAL_UNIT_KEYS for k in pair[:2])
-    for key in d:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-
+    _reject_unknown(d, _KEYS)
     if "tiers" not in d:
         raise ConfigError("tiers", "missing required field")
     raw_tiers = d["tiers"]
@@ -162,97 +185,51 @@ def config_from_dict(d: dict) -> NetworkConfig:
     for i, t in enumerate(raw_tiers):
         if not isinstance(t, dict):
             raise ConfigError(f"tiers[{i}]", "must be an object")
-        alt = _get_number(t, "altitude_km")
-        n = _get_number(t, "num_satellites")
-        if n != int(n):
-            raise ConfigError(f"tiers[{i}].num_satellites", f"must be an integer, got {n}")
-        tiers.append(Tier(altitude_km=alt, num_satellites=int(n)))
-
-    legit = _get_number(d, "legit_tier")
-    if legit != int(legit):
-        raise ConfigError("legit_tier", f"must be an integer, got {legit}")
-
-    dual = {lin: _get_dual(d, lin, db, conv) for lin, db, conv in _DUAL_UNIT_KEYS}
+        _reject_unknown(t, dict(_TIER_SCHEMA), f"tiers[{i}].")
+        tiers.append(Tier(**{key: _read(t, key, integral, path=f"tiers[{i}].")
+                             for key, integral in _TIER_SCHEMA}))
+    fields = {None: {}, "radio": {}, "fading": {}}
+    for key, owner, attr, integral, db in _SCHEMA:
+        fields[owner][attr] = _read(d, key, integral, db)
     try:
-        radio = RadioParams(
-            carrier_hz=_get_number(d, "carrier_hz"),
-            tx_power_w=dual["tx_power_w"],
-            antenna_gain_linear=dual["antenna_gain_linear"],
-            noise_density_w_per_hz=dual["noise_density_w_per_hz"],
-            bandwidth_hz=_get_number(d, "bandwidth_hz"),
-            info_ratio=_get_number(d, "info_ratio"),
-        )
-        fading = FadingParams(
-            shape_m1=int(_get_number(d, "fading_shape_m1")),
-            scale_m2=_get_number(d, "fading_scale_m2"),
-        )
+        radio, fading = RadioParams(**fields["radio"]), FadingParams(**fields["fading"])
     except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
         raise ConfigError("radio", str(e)) from e
-    return NetworkConfig(
-        earth_radius_km=_get_number(d, "earth_radius_km"),
-        tiers=tuple(tiers),
-        legit_tier=int(legit),
-        theta_beam=_get_number(d, "theta_beam_rad"),
-        device_density_per_km2=_get_number(d, "device_density_per_km2"),
-        radio=radio,
-        fading=fading,
-        beta_ls=dual["beta_ls"],
-        beta_es=dual["beta_es"],
-    )
+    return NetworkConfig(tiers=tuple(tiers), radio=radio, fading=fading, **fields[None])
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
     """Serialize with linear-unit keys; parsing the result reproduces cfg."""
-    return {
-        "earth_radius_km": cfg.earth_radius_km,
-        "tiers": [{"altitude_km": t.altitude_km, "num_satellites": t.num_satellites}
-                  for t in cfg.tiers],
-        "legit_tier": cfg.legit_tier,
-        "theta_beam_rad": cfg.theta_beam,
-        "device_density_per_km2": cfg.device_density_per_km2,
-        "carrier_hz": cfg.radio.carrier_hz,
-        "tx_power_w": cfg.radio.tx_power_w,
-        "antenna_gain_linear": cfg.radio.antenna_gain_linear,
-        "noise_density_w_per_hz": cfg.radio.noise_density_w_per_hz,
-        "bandwidth_hz": cfg.radio.bandwidth_hz,
-        "info_ratio": cfg.radio.info_ratio,
-        "fading_shape_m1": cfg.fading.shape_m1,
-        "fading_scale_m2": cfg.fading.scale_m2,
-        "beta_ls": cfg.beta_ls,
-        "beta_es": cfg.beta_es,
-    }
+    doc = {key: getattr(cfg if owner is None else getattr(cfg, owner), attr)
+           for key, owner, attr, _, _ in _SCHEMA}
+    tiers = [{key: getattr(t, key) for key, _ in _TIER_SCHEMA} for t in cfg.tiers]
+    return {"earth_radius_km": doc.pop("earth_radius_km"), "tiers": tiers, **doc}
+
+
+def _set(attr: str):
+    return lambda cfg, v: replace(cfg, **{attr: v})
+
+
+# sweepable name -> (integer, setter(cfg, value))
+_SWEEPS = {
+    "gamma": (False, lambda cfg, v: replace(cfg, radio=replace(cfg.radio, info_ratio=v))),
+    "theta_beam": (False, _set("theta_beam")),
+    "altitude_m": (False, lambda cfg, v: replace(cfg, tiers=tuple(  # serving tier's altitude, km
+        replace(t, altitude_km=v) if k == cfg.legit_tier else t for k, t in enumerate(cfg.tiers)))),
+    "num_satellites": (True, lambda cfg, v: replace(cfg, tiers=tuple(  # every tier
+        replace(t, num_satellites=v) for t in cfg.tiers))),
+    "device_density": (False, _set("device_density_per_km2")),
+    "legit_tier": (True, _set("legit_tier")),
+    "beta_ls": (False, _set("beta_ls")),  # linear thresholds
+    "beta_es": (False, _set("beta_es")),
+}
+
+SWEEPABLE_PARAMETERS = tuple(_SWEEPS)
 
 
 def with_parameter(cfg: NetworkConfig, name: str, value: float) -> NetworkConfig:
-    """Copy of cfg with one sweepable parameter replaced.
-
-    Sweepable names: gamma (message power share), theta_beam, altitude_m
-    (altitude of the legitimate tier, km), num_satellites (all tiers),
-    device_density, legit_tier, beta_ls, beta_es (linear thresholds).
-    """
-    if name == "gamma":
-        return replace(cfg, radio=replace(cfg.radio, info_ratio=float(value)))
-    if name == "theta_beam":
-        return replace(cfg, theta_beam=float(value))
-    if name == "altitude_m":
-        tiers = list(cfg.tiers)
-        tiers[cfg.legit_tier] = replace(tiers[cfg.legit_tier], altitude_km=float(value))
-        return replace(cfg, tiers=tuple(tiers))
-    if name == "num_satellites":
-        tiers = tuple(replace(t, num_satellites=int(value)) for t in cfg.tiers)
-        return replace(cfg, tiers=tiers)
-    if name == "device_density":
-        return replace(cfg, device_density_per_km2=float(value))
-    if name == "legit_tier":
-        return replace(cfg, legit_tier=int(value))
-    if name == "beta_ls":
-        return replace(cfg, beta_ls=float(value))
-    if name == "beta_es":
-        return replace(cfg, beta_es=float(value))
-    raise ConfigError(name, "unknown sweepable parameter")
-
-
-SWEEPABLE_PARAMETERS = ("gamma", "theta_beam", "altitude_m", "num_satellites",
-                        "device_density", "legit_tier", "beta_ls", "beta_es")
+    """Copy of cfg with the sweepable parameter ``name`` set to ``value``."""
+    if name not in _SWEEPS:
+        raise ConfigError(name, "unknown sweepable parameter")
+    integral, setter = _SWEEPS[name]
+    return setter(cfg, _integer(name, value) if integral else float(value))

@@ -2,11 +2,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from leosec.channel import db_to_linear, dbm_to_watts
+from leosec.cli import EXIT_INPUT, main
 from leosec.config import (ConfigError, NetworkConfig, SWEEPABLE_PARAMETERS, Tier,
                            config_from_dict, config_to_dict, table2_config,
                            with_parameter)
+from test_analytics import fuzz_configs
 
 
 class TestPreset:
@@ -166,3 +169,58 @@ def test_direct_construction_invariants(table2):
                       theta_beam=1.0, device_density_per_km2=0.0,
                       radio=table2.radio, fading=table2.fading,
                       beta_ls=0.0, beta_es=0.1)
+
+
+def _analyze_doc(doc, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code = main(["analyze", "--config", str(path)])
+    return code, capsys.readouterr()
+
+
+class TestIntegerAndKeyChecks:
+    """Inputs that once ran silently with a truncated or ignored value."""
+
+    @pytest.mark.parametrize("shape", [2.9, 0.5])
+    def test_fractional_fading_shape(self, shape, tmp_path, capsys):
+        doc = config_to_dict(table2_config())
+        doc["fading_shape_m1"] = shape
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert info.value.field == "fading_shape_m1"
+        code, captured = _analyze_doc(doc, tmp_path, capsys)
+        assert code == EXIT_INPUT and captured.out == ""
+        assert "fading_shape_m1" in captured.err
+
+    @pytest.mark.parametrize("name, values", [("num_satellites", "100,100.9"),
+                                              ("legit_tier", "0,0.7")])
+    def test_fractional_integer_sweep_value(self, table2, name, values, capsys):
+        with pytest.raises(ConfigError) as info:
+            with_parameter(table2, name, float(values.split(",")[1]))
+        assert info.value.field == name
+        code = main(["sweep", "--axis1", f"{name}={values}", "--metric", "p_av"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert name in captured.err
+
+    def test_integral_float_still_accepted(self, table2):
+        assert with_parameter(table2, "num_satellites", 100.0).tiers[0].num_satellites == 100
+        doc = config_to_dict(table2)
+        doc["fading_shape_m1"] = 1.0
+        assert config_from_dict(doc) == table2
+
+    def test_unknown_key_inside_tier(self, tmp_path, capsys):
+        doc = config_to_dict(table2_config())
+        doc["tiers"][1]["altitude_m"] = 800.0
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert info.value.field == "tiers[1].altitude_m"
+        code, captured = _analyze_doc(doc, tmp_path, capsys)
+        assert code == EXIT_INPUT and captured.out == ""
+        assert "altitude_m" in captured.err
+
+
+@settings(max_examples=200, derandomize=True)
+@given(fuzz_configs())
+def test_json_round_trip_is_exact(cfg):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
