@@ -11,7 +11,9 @@ attribute, integer or not, and an optional dB spelling (``tx_power_dbm``,
 keys, so a dump/parse round trip is exact) and the unknown-key checks all
 walk it.  ``_SWEEPS`` maps each sweepable name to (integer, setter).  One
 rule covers every integer: a value that is not integral raises
-``ConfigError`` naming its key.
+``ConfigError`` naming its key.  Radio and fading invariants name the JSON
+key as written, keys inside a tier carry their ``tiers[i].`` prefix, and
+``with_parameter`` names the sweep parameter when no config field does.
 """
 from __future__ import annotations
 
@@ -145,24 +147,28 @@ def _integer(field: str, value: float) -> int:
     return int(value)
 
 
-def _number(d: dict, key: str) -> float:
+def _number(d: dict, key: str, path: str = "") -> float:
     if key not in d:
-        raise ConfigError(key, "missing required field")
+        raise ConfigError(path + key, "missing required field")
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(key, f"expected a number, got {v!r}")
+        raise ConfigError(path + key, f"expected a number, got {v!r}")
     if not math.isfinite(v):
-        raise ConfigError(key, f"must be finite, got {v}")
+        raise ConfigError(path + key, f"must be finite, got {v}")
     return float(v)
 
 
 def _read(d: dict, key: str, integral: bool, db=None, path: str = ""):
-    """One schema row's value; the integer rule names ``path + key``."""
+    """One schema row's value; every error names ``path + key``."""
     if db is not None and db[0] in d:
         if key in d:
             raise ConfigError(key, f"give either {key} or {db[0]}, not both")
-        return db[1](_number(d, db[0]))
-    return _integer(path + key, _number(d, key)) if integral else _number(d, key)
+        try:
+            return db[1](_number(d, db[0]))
+        except OverflowError:
+            raise ConfigError(db[0], f"out of range, got {d[db[0]]}") from None
+    v = _number(d, key, path)
+    return _integer(path + key, v) if integral else v
 
 
 def _reject_unknown(d: dict, known, path: str = "") -> None:
@@ -193,8 +199,11 @@ def config_from_dict(d: dict) -> NetworkConfig:
         fields[owner][attr] = _read(d, key, integral, db)
     try:
         radio, fading = RadioParams(**fields["radio"]), FadingParams(**fields["fading"])
-    except ValueError as e:
-        raise ConfigError("radio", str(e)) from e
+    except ValueError as e:  # the message starts with the attribute at fault
+        attr, message = str(e).split(" ", 1)
+        field = next(db[0] if db and db[0] in d else key
+                     for key, owner, a, _, db in _SCHEMA if owner and a == attr)
+        raise ConfigError(field, message) from e
     return NetworkConfig(tiers=tuple(tiers), radio=radio, fading=fading, **fields[None])
 
 
@@ -232,4 +241,9 @@ def with_parameter(cfg: NetworkConfig, name: str, value: float) -> NetworkConfig
     if name not in _SWEEPS:
         raise ConfigError(name, "unknown sweepable parameter")
     integral, setter = _SWEEPS[name]
-    return setter(cfg, _integer(name, value) if integral else float(value))
+    try:
+        return setter(cfg, _integer(name, value) if integral else float(value))
+    except ConfigError:
+        raise
+    except ValueError as e:  # a non-number, or a RadioParams invariant on info_ratio
+        raise ConfigError(name, str(e)) from e

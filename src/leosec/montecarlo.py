@@ -1,22 +1,26 @@
-"""Simulation oracle: estimate every metric by direct trial sampling.
+"""Simulation oracle: estimate every metric by direct sampling of worlds.
 
-Each trial draws a fresh world: satellite positions per tier (independent
-uniform points on each shell), the serving link's channel gain, and -- for
-every receiver that can see the reference device -- an independent Poisson
-field of interfering devices on that receiver's visibility cap with i.i.d.
-Gamma(m1, scale m2) channel gains.  SINRs follow from the same link model
-the closed forms use, so the two engines agree in distribution and differ
-only by sampling noise.
+A world is the uniform-shell model the closed forms analyse: each tier's N
+satellites are i.i.d. uniform on its shell, links draw i.i.d. channel gains,
+and each receiver that sees the reference device hears its own Poisson field
+of devices on its visibility cap, with i.i.d. Gamma(m1, m2) gains.
 
-Because the reference device sits at polar angle 0, a satellite's central
-angle to it equals the satellite's polar angle, and interferers only matter
-through their central angle to their receiver; azimuths therefore never
-enter any observable and are not drawn.
+Blocks of ``BLOCK_TRIALS`` worlds are drawn as arrays by exact thinning, with
+no use of the closed-form contact law.  A tier's in-cap count K is
+Binomial(N, (1 - cos theta_max) / 2); the tier is in view when K > 0.  The
+serving tier needs only its nearest cosine, the largest of K uniform cap
+cosines, ``c + (1 - c) * U**(1/K)``; an eavesdropper tier draws all K.
 
-Reproducibility: trial i is driven by a generator seeded from a counter
-stream derived from the master seed alone, so estimates are bit-identical
-for any execution order or worker count.  The worker count defaults to the
-LEOSEC_THREADS environment variable.
+Exact pruning: interference only lowers an SINR, so a link that misses its
+threshold on part of its field misses it on the whole.  A field is drawn as
+independent Poisson stages of growing mean that sum to the cap mean, and
+only for links still clearing their threshold.  ``_interference_fields`` is
+the one interference draw.  Azimuths never enter an observable.
+
+Seeding: block i draws from the i-th child of ``SeedSequence(master_seed)
+.spawn``, so estimates are bit-identical for any worker count and a block's
+worlds do not depend on how many blocks follow.  Blocks run on ``n_jobs``
+threads, by default LEOSEC_THREADS.
 """
 from __future__ import annotations
 
@@ -29,10 +33,12 @@ import numpy as np
 
 from .channel import received_power, sample_fades, sinr_eavesdropper, sinr_legitimate
 from .config import NetworkConfig
-from .geometry import (cap_area_km2, central_angle_to_distance, sample_cap_cosines,
-                       sample_sphere_cosines)
+from .geometry import cap_area_km2, central_angle_to_distance, sample_cap_cosines
 
 THREADS_ENV_VAR = "LEOSEC_THREADS"
+BLOCK_TRIALS = 256
+_CHUNK_DEVICES = 1 << 15        # interferers per ``_interference_fields`` call
+_FIRST_STAGE_DEVICES = 4.0      # mean devices in a field's first stage; x4 per stage
 
 
 def default_thread_count() -> int:
@@ -47,8 +53,8 @@ def default_thread_count() -> int:
 @dataclass(frozen=True)
 class TrialOutcome:
     in_view_per_tier: tuple[bool, ...]
-    sinr_ls: float | None          # None when the serving tier is not in view
-    max_es_sinr: float             # 0 when no eavesdropper sees the device
+    covered: bool                  # serving tier in view and its SINR above beta_ls
+    outage: bool                   # no eavesdropper SINR reaches beta_es
 
 
 @dataclass(frozen=True)
@@ -59,43 +65,36 @@ class McEstimate:
     master_seed: int
 
 
-def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
-    """Per-trial seeds: a counter-based stream derived from the master seed."""
-    return np.random.SeedSequence(master_seed).generate_state(n_trials, dtype=np.uint64)
-
-
-def legit_link_sinr(cfg: NetworkConfig, theta0: float, fade: float,
-                    interference_w: float) -> float:
-    """Serving-link SINR for a given contact angle, channel gain, and
-    interference draw (the deterministic core of a trial's step 2)."""
+def legit_link_sinr(cfg: NetworkConfig, theta0, fade, interference_w):
+    """Serving-link SINR for given contact angles, channel gains and
+    interference powers (scalars or arrays)."""
     geom = cfg.legit_geometry()
     d = central_angle_to_distance(theta0, geom.shell_radius_km, cfg.earth_radius_km)
     signal = received_power(cfg.radio, d, fade)
     return sinr_legitimate(signal, interference_w, cfg.noise_w, cfg.radio.info_ratio)
 
 
-def _eavesdropper_sinrs(cfg, shell_radius_km, thetas, fades, interference_w):
-    d = central_angle_to_distance(thetas, shell_radius_km, cfg.earth_radius_km)
+def _clears(cfg, k, geom, thetas, fades, interference_w):
+    """Whether each link to tier ``k`` clears its threshold: SINR above
+    beta_ls for the serving tier, at least beta_es for an eavesdropper."""
+    if k == cfg.legit_tier:
+        return legit_link_sinr(cfg, thetas, fades, interference_w) > cfg.beta_ls
+    d = central_angle_to_distance(thetas, geom.shell_radius_km, cfg.earth_radius_km)
     signal = received_power(cfg.radio, d, fades)
-    return sinr_eavesdropper(signal, interference_w, cfg.noise_w, cfg.radio.info_ratio)
+    return sinr_eavesdropper(signal, interference_w, cfg.noise_w, cfg.radio.info_ratio) >= cfg.beta_es
 
 
-def _cap_poisson_means(cfg: NetworkConfig) -> tuple[float, ...]:
-    return tuple(cfg.device_density_per_km2
-                 * cap_area_km2(g.max_central_angle, cfg.earth_radius_km)
-                 for g in cfg.tier_geometries())
+def _cap_mean(cfg: NetworkConfig, geom) -> float:
+    """Mean number of devices on a receiver's visibility cap."""
+    return cfg.device_density_per_km2 * cap_area_km2(geom.max_central_angle, cfg.earth_radius_km)
 
 
-def _interference_fields(cfg, rng, tier_index, n_fields, cap_mean) -> np.ndarray:
-    """Total interference power (W) at each of ``n_fields`` receivers of one
-    tier, each with its own Poisson device field on its visibility cap."""
-    if cap_mean == 0.0 or n_fields == 0:
-        return np.zeros(n_fields)
-    geom = cfg.tier_geometries()[tier_index]
-    counts = rng.poisson(cap_mean, n_fields)
+def _interference_fields(cfg, rng, geom, counts) -> np.ndarray:
+    """Total interference power (W) at each receiver of one tier, given the
+    Poisson device count on each receiver's visibility cap."""
     total = int(counts.sum())
     if total == 0:
-        return np.zeros(n_fields)
+        return np.zeros(counts.size)
     cos_a = sample_cap_cosines(rng, geom.max_central_angle, total)
     d = np.sqrt(cfg.earth_radius_km ** 2 + geom.shell_radius_km ** 2
                 - 2.0 * cfg.earth_radius_km * geom.shell_radius_km * cos_a)
@@ -103,44 +102,59 @@ def _interference_fields(cfg, rng, tier_index, n_fields, cap_mean) -> np.ndarray
     # transform averages over, not the serving/eavesdropper link law
     gains = rng.gamma(cfg.fading.shape_m1, cfg.fading.scale_m2, total)
     powers = received_power(cfg.radio, d, gains)
-    owner = np.repeat(np.arange(n_fields), counts)
-    return np.bincount(owner, weights=powers, minlength=n_fields)
+    owner = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(owner, weights=powers, minlength=counts.size)
+
+
+def _chunked_fields(cfg, rng, geom, cap_mean, n_fields) -> np.ndarray:
+    """Interference at ``n_fields`` receivers, drawn in runs of receivers
+    holding at most ``_CHUNK_DEVICES`` devices (or one receiver's field)."""
+    counts = rng.poisson(cap_mean, n_fields)
+    ends, out, lo = np.cumsum(counts), np.empty(n_fields), 0
+    while lo < n_fields:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _CHUNK_DEVICES, "right")))
+        out[lo:hi] = _interference_fields(cfg, rng, geom, counts[lo:hi])
+        lo = hi
+    return out
+
+
+def _simulate_block(cfg, tiers, rng, n):
+    """Indicators of ``n`` independent worlds: in view (n, tiers), covered
+    (n,) and outage (n,).  Draws in-cap counts, then per tier the cosines,
+    gains and staged device fields.  ``tiers`` holds (geometry, cap mean)."""
+    in_cap = np.stack([rng.binomial(g.num_satellites, 0.5 * (1.0 - math.cos(g.max_central_angle)), n)
+                       for g, _ in tiers], axis=1)
+    covered, outage = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    for k, (g, cap_mean) in enumerate(tiers):
+        seen = np.flatnonzero(in_cap[:, k])
+        if k == cfg.legit_tier:
+            owner, c = seen, math.cos(g.max_central_angle)
+            cosines = c + (1.0 - c) * rng.random(seen.size) ** (1.0 / in_cap[seen, k])
+        else:
+            owner = np.repeat(seen, in_cap[seen, k])
+            cosines = sample_cap_cosines(rng, g.max_central_angle, owner.size)
+        thetas = np.arccos(np.minimum(cosines, 1.0))
+        fades = sample_fades(cfg.fading, rng, owner.size)
+        live = np.flatnonzero(_clears(cfg, k, g, thetas, fades, 0.0))
+        partial = np.zeros(owner.size)
+        done, upto = 0.0, _FIRST_STAGE_DEVICES
+        while live.size and done < cap_mean:
+            upto = min(upto, cap_mean)
+            partial[live] += _chunked_fields(cfg, rng, g, upto - done, live.size)
+            live = live[_clears(cfg, k, g, thetas[live], fades[live], partial[live])]
+            done, upto = upto, 4.0 * upto
+        if k == cfg.legit_tier:
+            covered[owner[live]] = True
+        else:
+            outage[owner[live]] = False
+    return in_cap > 0, covered, outage
 
 
 def run_trial(cfg: NetworkConfig, trial_seed: int) -> TrialOutcome:
-    """Sample one world and score it.
-
-    Draw order is fixed: satellite angles per tier, then the serving link's
-    gain and interference field, then per eavesdropper tier the gains and
-    interference fields of the in-view satellites.
-    """
-    rng = np.random.default_rng(trial_seed)
-    geoms = cfg.tier_geometries()
-    cap_means = _cap_poisson_means(cfg)
-    m = cfg.legit_tier
-
-    polar = [np.arccos(np.clip(sample_sphere_cosines(rng, g.num_satellites), -1.0, 1.0))
-             for g in geoms]
-    in_view = tuple(bool(p.size) and float(p.min()) <= g.max_central_angle
-                    for p, g in zip(polar, geoms))
-
-    sinr_ls = None
-    if in_view[m]:
-        fade0 = float(sample_fades(cfg.fading, rng, 1)[0])
-        interference = float(_interference_fields(cfg, rng, m, 1, cap_means[m])[0])
-        sinr_ls = float(legit_link_sinr(cfg, float(polar[m].min()), fade0, interference))
-
-    max_es = 0.0
-    for k, geom in enumerate(geoms):
-        if k == m or not in_view[k]:
-            continue
-        thetas = polar[k][polar[k] <= geom.max_central_angle]
-        fades = sample_fades(cfg.fading, rng, thetas.size)
-        fields = _interference_fields(cfg, rng, k, thetas.size, cap_means[k])
-        sinrs = _eavesdropper_sinrs(cfg, geom.shell_radius_km, thetas, fades, fields)
-        max_es = max(max_es, float(np.max(sinrs)))
-
-    return TrialOutcome(in_view_per_tier=in_view, sinr_ls=sinr_ls, max_es_sinr=max_es)
+    """Sample one world from ``trial_seed`` and score it (a one-trial block)."""
+    tiers = [(g, _cap_mean(cfg, g)) for g in cfg.tier_geometries()]
+    in_view, covered, outage = _simulate_block(cfg, tiers, np.random.default_rng(trial_seed), 1)
+    return TrialOutcome(tuple(bool(v) for v in in_view[0]), bool(covered[0]), bool(outage[0]))
 
 
 def estimate(cfg: NetworkConfig, n_trials: int, master_seed: int,
@@ -154,44 +168,28 @@ def estimate(cfg: NetworkConfig, n_trials: int, master_seed: int,
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if n_jobs is None:
-        n_jobs = default_thread_count()
-    n_tiers = len(cfg.tiers)
-    m = cfg.legit_tier
-    seeds = trial_seeds(master_seed, n_trials)
+    n_jobs = max(1, default_thread_count() if n_jobs is None else n_jobs)
+    tiers = [(g, _cap_mean(cfg, g)) for g in cfg.tier_geometries()]
+    n_blocks = -(-n_trials // BLOCK_TRIALS)
+    block_seeds = np.random.SeedSequence(master_seed).spawn(n_blocks)
 
-    in_view = np.zeros((n_trials, n_tiers), dtype=bool)
-    covered = np.zeros(n_trials, dtype=bool)
-    outage = np.zeros(n_trials, dtype=bool)
+    def block(i: int):
+        n = min(BLOCK_TRIALS, n_trials - i * BLOCK_TRIALS)
+        return _simulate_block(cfg, tiers, np.random.default_rng(block_seeds[i]), n)
 
-    def work(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            o = run_trial(cfg, int(seeds[i]))
-            in_view[i] = o.in_view_per_tier
-            covered[i] = o.sinr_ls is not None and o.sinr_ls > cfg.beta_ls
-            outage[i] = o.max_es_sinr < cfg.beta_es
-
-    if n_jobs <= 1:
-        work(0, n_trials)
-    else:
-        chunk = math.ceil(n_trials / n_jobs)
-        bounds = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for future in [pool.submit(work, lo, hi) for lo, hi in bounds]:
-                future.result()
+    with ThreadPoolExecutor(max_workers=min(n_jobs, n_blocks)) as pool:  # no thread at 1 job
+        parts = list((map if n_jobs <= 1 else pool.map)(block, range(n_blocks)))
+    in_view, covered, outage = (np.concatenate(a) for a in zip(*parts))
 
     def indicator(mean: float) -> McEstimate:
         stderr = math.sqrt(mean * (1.0 - mean) / n_trials)
         return McEstimate(mean=mean, stderr=stderr, n_trials=n_trials, master_seed=master_seed)
 
-    out = {f"p_av_{k}": indicator(float(in_view[:, k].mean())) for k in range(n_tiers)}
-    p_cov = float(covered.mean())
-    p_out = float(outage.mean())
-    p_suc = out[f"p_av_{m}"].mean * p_cov
-    out["p_cov"] = indicator(p_cov)
-    out["p_suc"] = indicator(p_suc)
-    out["p_out"] = indicator(p_out)
-    out["p_sec"] = indicator(p_suc * p_out)
+    out = {f"p_av_{k}": indicator(float(in_view[:, k].mean())) for k in range(len(tiers))}
+    p_cov, p_out = float(covered.mean()), float(outage.mean())
+    p_suc = out[f"p_av_{cfg.legit_tier}"].mean * p_cov
+    out.update(p_cov=indicator(p_cov), p_suc=indicator(p_suc), p_out=indicator(p_out),
+               p_sec=indicator(p_suc * p_out))
     return out
 
 
@@ -209,8 +207,8 @@ def estimate_laplace(cfg: NetworkConfig, tier_index: int, s_grid,
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
     rng = np.random.default_rng(seed)
-    cap_mean = _cap_poisson_means(cfg)[tier_index]
-    fields = _interference_fields(cfg, rng, tier_index, n_real, cap_mean)
+    geom = cfg.tier_geometries()[tier_index]
+    fields = _interference_fields(cfg, rng, geom, rng.poisson(_cap_mean(cfg, geom), n_real))
     out = []
     for s in s_arr:
         vals = np.exp(-s * fields)

@@ -220,6 +220,48 @@ class TestIntegerAndKeyChecks:
         assert "altitude_m" in captured.err
 
 
+def _drop_first_altitude(doc):
+    del doc["tiers"][0]["altitude_km"]
+
+
+def _huge_tx_power_dbm(doc):
+    # 10 ** (1e5 / 10) W overflows a float
+    del doc["tx_power_w"]
+    doc["tx_power_dbm"] = 1e5
+
+
+class TestErrorsNameTheJsonKey:
+    """Radio and fading invariants, tier keys and sweep names each raise a
+    ConfigError whose field is the key the user wrote."""
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.update(fading_shape_m1=0), "fading_shape_m1"),
+        (lambda doc: doc.update(fading_scale_m2=-1), "fading_scale_m2"),
+        (lambda doc: doc.update(info_ratio=-1), "info_ratio"),
+        (_drop_first_altitude, "tiers[0].altitude_km"),
+        (_huge_tx_power_dbm, "tx_power_dbm"),
+    ], ids=["fading_shape_m1", "fading_scale_m2", "info_ratio", "tier_altitude_km",
+            "tx_power_dbm_overflow"])
+    def test_document_error(self, edit, field, tmp_path, capsys):
+        doc = config_to_dict(table2_config())
+        edit(doc)
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert info.value.field == field
+        code, captured = _analyze_doc(doc, tmp_path, capsys)
+        assert code == EXIT_INPUT and captured.out == ""
+        assert f"{field}:" in captured.err
+
+    def test_sweep_value_outside_range(self, table2, capsys):
+        with pytest.raises(ConfigError) as info:
+            with_parameter(table2, "gamma", 1.5)
+        assert info.value.field == "gamma"
+        code = main(["sweep", "--axis1", "gamma=0.5,1.5", "--metric", "p_av"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert "gamma:" in captured.err
+
+
 @settings(max_examples=200, derandomize=True)
 @given(fuzz_configs())
 def test_json_round_trip_is_exact(cfg):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from leosec import analytics, montecarlo
+from leosec.channel import db_to_linear
 from leosec.config import Tier, table2_config, with_parameter
-from leosec.montecarlo import (McEstimate, TrialOutcome, empirical_availability,
-                               estimate, estimate_laplace, legit_link_sinr,
-                               run_trial, sample_nearest_angles, trial_seeds)
+from leosec.montecarlo import (BLOCK_TRIALS, McEstimate, empirical_availability, estimate,
+                               estimate_laplace, legit_link_sinr, run_trial,
+                               sample_nearest_angles)
 
 # Hand-composed serving-link SINR at the sub-satellite point with the channel
 # gain forced to the fading scale and no interference:
@@ -21,19 +22,22 @@ class TestRunTrial:
         cfg = replace(table2, tiers=tuple(replace(t, num_satellites=0) for t in table2.tiers))
         out = run_trial(cfg, trial_seed=3)
         assert out.in_view_per_tier == (False, False, False)
-        assert out.sinr_ls is None
-        assert out.max_es_sinr == 0.0
+        assert not out.covered
+        assert out.outage
 
     def test_single_tier_has_no_eavesdroppers(self, table2):
         cfg = replace(table2, tiers=(Tier(1000.0, 500),), legit_tier=0)
         for seed in range(5):
-            assert run_trial(cfg, seed).max_es_sinr == 0.0
+            assert run_trial(cfg, seed).outage
 
     def test_outcome_invariants(self, table2):
+        m = table2.legit_tier
         for seed in range(10):
             out = run_trial(table2, seed)
-            assert (out.sinr_ls is not None) == out.in_view_per_tier[table2.legit_tier]
-            assert out.max_es_sinr >= 0.0
+            assert len(out.in_view_per_tier) == len(table2.tiers)
+            assert not out.covered or out.in_view_per_tier[m]
+            eavesdropper_in_view = any(v for k, v in enumerate(out.in_view_per_tier) if k != m)
+            assert out.outage or eavesdropper_in_view
 
     def test_deterministic_for_seed(self, table2):
         assert run_trial(table2, 1234) == run_trial(table2, 1234)
@@ -47,10 +51,11 @@ def test_pinned_nadir_link_sinr(table2):
 
 class TestEstimate:
     def test_deterministic_across_runs_and_workers(self, table2):
-        a = estimate(table2, 400, master_seed=9, n_jobs=1)
-        b = estimate(table2, 400, master_seed=9, n_jobs=1)
-        c = estimate(table2, 400, master_seed=9, n_jobs=4)
-        assert a == b == c
+        n = 3 * BLOCK_TRIALS + 17
+        a = estimate(table2, n, master_seed=9, n_jobs=1)
+        assert estimate(table2, n, master_seed=9, n_jobs=1) == a
+        for n_jobs in (2, 8):
+            assert estimate(table2, n, master_seed=9, n_jobs=n_jobs) == a
 
     def test_availability_matches_closed_form(self, table2):
         est = estimate(table2, 4000, master_seed=2)
@@ -88,6 +93,35 @@ class TestEstimate:
             estimate(table2, 0, master_seed=1)
 
 
+# Away from table2's operating point: a shape-3 fading law with a low serving
+# threshold; sparse tiers, so availability is below one; ten times the device
+# density at a larger power share, so eavesdroppers clear beta_es without
+# interference and their fields decide the outage.
+SPOT_CONFIGS = {
+    "shape3_beta_ls_-20dB": lambda c: replace(c, fading=replace(c.fading, shape_m1=3),
+                                              beta_ls=db_to_linear(-20.0)),
+    "20_satellites_per_tier": lambda c: with_parameter(c, "num_satellites", 20),
+    "density_1e-5_gamma_0.3": lambda c: with_parameter(
+        with_parameter(c, "device_density", 1e-5), "gamma", 0.3),
+}
+
+
+@pytest.mark.parametrize("name", SPOT_CONFIGS)
+def test_spot_check_against_closed_forms(table2, name):
+    """Every metric within |z| <= 4 of its closed form at 10^5 trials, with
+    no absolute floor; z uses the binomial stderr at the closed-form value."""
+    cfg = SPOT_CONFIGS[name](table2)
+    n = 100_000
+    report = analytics.full_report(cfg)
+    est = estimate(cfg, n, master_seed=1)
+    expected = {f"p_av_{k}": p for k, p in enumerate(report.p_av_per_tier)}
+    expected.update({m: getattr(report, m) for m in ("p_cov", "p_suc", "p_out", "p_sec")})
+    assert set(expected) == set(est)
+    for metric, value in expected.items():
+        stderr = math.sqrt(value * (1.0 - value) / n)
+        assert abs(est[metric].mean - value) <= 4.0 * stderr, (metric, value, est[metric])
+
+
 class TestEstimateLaplace:
     def test_at_origin(self, table2):
         (est,) = estimate_laplace(table2, 0, [0.0], 500, seed=1)
@@ -119,16 +153,56 @@ class TestEstimateLaplace:
             estimate_laplace(table2, 0, [-1.0], 100, seed=1)
 
 
-class TestSeeding:
-    def test_trial_seeds_deterministic(self):
-        a = trial_seeds(42, 1000)
-        b = trial_seeds(42, 1000)
-        assert np.array_equal(a, b)
-        assert len(np.unique(a)) == 1000
+def _recorded_blocks(monkeypatch, cfg, n_trials, seed):
+    """Indicator arrays of every block ``estimate`` simulates, in order."""
+    blocks = []
+    kernel = montecarlo._simulate_block
 
-    def test_prefix_stability(self):
-        # seeds for trial i do not depend on how many trials follow
-        assert np.array_equal(trial_seeds(7, 100), trial_seeds(7, 1000)[:100])
+    def record(*args):
+        blocks.append(kernel(*args))
+        return blocks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_simulate_block", record)
+        estimate(cfg, n_trials, master_seed=seed)
+    return blocks
+
+
+class TestSeeding:
+    def test_prefix_stability_at_block_boundaries(self, table2, monkeypatch):
+        # a block's worlds do not depend on how many blocks follow
+        (first,) = _recorded_blocks(monkeypatch, table2, BLOCK_TRIALS, 7)
+        blocks = _recorded_blocks(monkeypatch, table2, 3 * BLOCK_TRIALS, 7)
+        assert len(blocks) == 3
+        for got, want in zip(blocks[0], first):
+            assert got.shape[0] == BLOCK_TRIALS
+            assert np.array_equal(got, want)
+
+    def test_blocks_draw_distinct_worlds(self, table2, monkeypatch):
+        blocks = _recorded_blocks(monkeypatch, table2, 3 * BLOCK_TRIALS, 7)
+        outages = [b[2] for b in blocks]
+        assert not np.array_equal(outages[0], outages[1])
+        assert not np.array_equal(outages[1], outages[2])
+        other_seed = _recorded_blocks(monkeypatch, table2, BLOCK_TRIALS, 8)
+        assert not np.array_equal(other_seed[0][2], outages[0])
+
+
+def test_fields_are_drawn_in_bounded_chunks(table2, monkeypatch):
+    # dense devices: every interference draw holds at most the chunk bound,
+    # unless one receiver's field alone exceeds it
+    chunk = 64
+    sizes = []
+    draw = montecarlo._interference_fields
+
+    def record(cfg, rng, geom, counts):
+        sizes.append((int(counts.sum()), counts.size))
+        return draw(cfg, rng, geom, counts)
+
+    monkeypatch.setattr(montecarlo, "_CHUNK_DEVICES", chunk)
+    monkeypatch.setattr(montecarlo, "_interference_fields", record)
+    estimate(with_parameter(table2, "device_density", 1e-5), 300, master_seed=5)
+    assert sizes and max(total for total, _ in sizes) > chunk
+    assert all(total <= chunk or receivers == 1 for total, receivers in sizes)
 
 
 class TestSamplingHelpers:
