@@ -239,31 +239,38 @@ def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig
     return np.clip(acc, 0.0, 1.0)
 
 
+def _checked_cap_integral(scaling, weight, geom: TierGeometry, cfg: NetworkConfig,
+                         quad: QuadratureSpec, label: str, bound: float) -> float:
+    """Integral over the cap [0, theta_max] of exceed(scaling(theta)) *
+    weight(theta), exceed being the threshold probability given the angle.
+    A QuadratureError is re-raised prefixed by ``label``; a result within
+    _BRACKET_SLACK of [0, bound] (quadrature rounding) is clipped onto it, a
+    larger miss raises ArithmeticError."""
+    def integrand(theta):
+        return _threshold_exceed_given_angle(scaling(theta), geom, cfg) * weight(theta)
+
+    try:
+        value = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
+    except QuadratureError as e:
+        raise QuadratureError(f"{label}: {e}") from e
+    if value < -_BRACKET_SLACK or value > bound + _BRACKET_SLACK:
+        raise ArithmeticError(f"{label}: integral {value} outside [0, {bound}]")
+    return min(max(value, 0.0), bound)
+
+
 def coverage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """P[serving link SINR > beta_ls], integrated over the nearest-satellite
-    angle law of the serving tier (hence at most that tier's availability).
-
-    Quadrature rounding can push the integral just past that availability
-    when coverage is near 1; a miss within _BRACKET_SLACK is clipped, a
-    larger one raises ArithmeticError.  A QuadratureError names the metric
-    and the serving tier.
+    angle law of the serving tier (hence at most that tier's availability,
+    the bound of its checked cap integral).  A QuadratureError names the
+    metric and the serving tier.
     """
     geom = cfg.legit_geometry()
     if geom.num_satellites == 0 or cfg.radio.info_ratio == 0.0:
         return 0.0
-
-    def integrand(theta):
-        exceed = _threshold_exceed_given_angle(s_ls(theta, cfg), geom, cfg)
-        return exceed * contact_angle_pdf(theta, geom.num_satellites, geom.max_central_angle)
-
-    try:
-        p_cov = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
-    except QuadratureError as e:
-        raise QuadratureError(f"coverage, tier {cfg.legit_tier}: {e}") from e
-    p_av = availability_probability(geom)
-    if p_cov < -_BRACKET_SLACK or p_cov > p_av + _BRACKET_SLACK:
-        raise ArithmeticError(f"coverage {p_cov} outside [0, p_av = {p_av}]")
-    return min(max(p_cov, 0.0), p_av)
+    return _checked_cap_integral(
+        lambda theta: s_ls(theta, cfg),
+        lambda theta: contact_angle_pdf(theta, geom.num_satellites, geom.max_central_angle),
+        geom, cfg, quad, f"coverage, tier {cfg.legit_tier}", availability_probability(geom))
 
 
 def successful_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -290,18 +297,9 @@ def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAUL
     for k, geom in enumerate(cfg.tier_geometries()):
         if k == cfg.legit_tier or geom.num_satellites == 0:
             continue
-
-        def integrand(theta, geom=geom):
-            exceed = _threshold_exceed_given_angle(s_es(theta, cfg, geom), geom, cfg)
-            return exceed * np.sin(theta) / 2.0
-
-        try:
-            mass = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
-        except QuadratureError as e:
-            raise QuadratureError(f"secrecy outage, tier {k}: {e}") from e
-        if mass < -_BRACKET_SLACK or mass > 1.0 + _BRACKET_SLACK:
-            raise ArithmeticError(f"per-satellite bracket {1.0 - mass} outside [0, 1]")
-        mass = min(max(mass, 0.0), 1.0)
+        mass = _checked_cap_integral(lambda theta: s_es(theta, cfg, geom),
+                                     lambda theta: np.sin(theta) / 2.0,
+                                     geom, cfg, quad, f"secrecy outage, tier {k}", 1.0)
         if mass == 1.0:
             return 0.0
         log_total += geom.num_satellites * math.log1p(-mass)

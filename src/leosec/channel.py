@@ -33,6 +33,14 @@ import numpy as np
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
 
+class ConfigError(ValueError):
+    """Schema or invariant violation: ``message`` says what is wrong with ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field, self.message = field, message
+
+
 @dataclass(frozen=True)
 class FadingParams:
     """Shape/scale of the channel power-gain law."""
@@ -42,9 +50,9 @@ class FadingParams:
 
     def __post_init__(self):
         if self.shape_m1 != int(self.shape_m1) or self.shape_m1 < 1:
-            raise ValueError(f"shape_m1 must be a positive integer, got {self.shape_m1}")
+            raise ConfigError("shape_m1", f"must be a positive integer, got {self.shape_m1}")
         if not (math.isfinite(self.scale_m2) and self.scale_m2 > 0.0):
-            raise ValueError(f"scale_m2 must be positive, got {self.scale_m2}")
+            raise ConfigError("scale_m2", f"must be positive, got {self.scale_m2}")
 
     @property
     def rate(self) -> float:
@@ -67,9 +75,9 @@ class RadioParams:
                      "noise_density_w_per_hz", "bandwidth_hz"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+                raise ConfigError(name, f"must be positive and finite, got {v}")
         if not 0.0 <= self.info_ratio <= 1.0:
-            raise ValueError(f"info_ratio must be in [0, 1], got {self.info_ratio}")
+            raise ConfigError("info_ratio", f"must be in [0, 1], got {self.info_ratio}")
 
 
 def dbm_to_watts(x_dbm: float) -> float:

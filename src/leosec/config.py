@@ -11,25 +11,19 @@ attribute, integer or not, and an optional dB spelling (``tx_power_dbm``,
 keys, so a dump/parse round trip is exact) and the unknown-key checks all
 walk it.  ``_SWEEPS`` maps each sweepable name to (integer, setter).  One
 rule covers every integer: a value that is not integral raises
-``ConfigError`` naming its key.  Radio and fading invariants name the JSON
-key as written, keys inside a tier carry their ``tiers[i].`` prefix, and
-``with_parameter`` names the sweep parameter when no config field does.
+``ConfigError`` naming its key.  An invariant of the config, its radio or
+its fading names the JSON key as written (the dB spelling when that was
+given), keys inside a tier carry their ``tiers[i].`` prefix, and
+``with_parameter`` names the sweep parameter.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 
-from .channel import FadingParams, RadioParams, dbm_to_watts, db_to_linear, noise_power
+from .channel import (ConfigError, FadingParams, RadioParams, dbm_to_watts, db_to_linear,
+                      noise_power)
 from .geometry import EARTH_RADIUS_KM, TierGeometry, tier_geometry
-
-
-class ConfigError(ValueError):
-    """Schema or invariant violation; ``field`` names the offending key."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -198,13 +192,12 @@ def config_from_dict(d: dict) -> NetworkConfig:
     for key, owner, attr, integral, db in _SCHEMA:
         fields[owner][attr] = _read(d, key, integral, db)
     try:
-        radio, fading = RadioParams(**fields["radio"]), FadingParams(**fields["fading"])
-    except ValueError as e:  # the message starts with the attribute at fault
-        attr, message = str(e).split(" ", 1)
-        field = next(db[0] if db and db[0] in d else key
-                     for key, owner, a, _, db in _SCHEMA if owner and a == attr)
-        raise ConfigError(field, message) from e
-    return NetworkConfig(tiers=tuple(tiers), radio=radio, fading=fading, **fields[None])
+        return NetworkConfig(tiers=tuple(tiers), radio=RadioParams(**fields["radio"]),
+                             fading=FadingParams(**fields["fading"]), **fields[None])
+    except ConfigError as e:  # an invariant names an attribute; a tier key is already a key
+        field = next((db[0] if db and db[0] in d else key
+                      for key, _, attr, _, db in _SCHEMA if attr == e.field), e.field)
+        raise ConfigError(field, e.message) from e
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
@@ -243,7 +236,7 @@ def with_parameter(cfg: NetworkConfig, name: str, value: float) -> NetworkConfig
     integral, setter = _SWEEPS[name]
     try:
         return setter(cfg, _integer(name, value) if integral else float(value))
-    except ConfigError:
-        raise
-    except ValueError as e:  # a non-number, or a RadioParams invariant on info_ratio
+    except ConfigError as e:  # the value breaks an invariant of the field it sets
+        raise ConfigError(name, e.message) from e
+    except ValueError as e:  # not a number
         raise ConfigError(name, str(e)) from e

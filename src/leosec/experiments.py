@@ -38,8 +38,7 @@ def _metric_from_report(report: MetricsReport, metric: str, legit_tier: int) -> 
 
 
 def validate(cfg: NetworkConfig, n_trials: int, seed: int,
-             quad: QuadratureSpec = DEFAULT_QUAD,
-             n_jobs: int | None = None) -> list[ValidationRow]:
+             quad: QuadratureSpec = DEFAULT_QUAD) -> list[ValidationRow]:
     """Compare every analytic metric against its Monte Carlo estimate.
 
     One row per metric (availability per tier, then the four link metrics);
@@ -47,7 +46,7 @@ def validate(cfg: NetworkConfig, n_trials: int, seed: int,
     Failing rows are data, not errors.
     """
     report = analytics.full_report(cfg, quad)
-    est = montecarlo.estimate(cfg, n_trials, seed, n_jobs=n_jobs)
+    est = montecarlo.estimate(cfg, n_trials, seed)
 
     rows = []
 
@@ -101,8 +100,7 @@ class SweepRow:
 
 
 def sweep(cfg: NetworkConfig, spec: SweepSpec, n_trials: int = 10_000, seed: int = 1,
-          quad: QuadratureSpec = DEFAULT_QUAD,
-          n_jobs: int | None = None) -> list[SweepRow]:
+          quad: QuadratureSpec = DEFAULT_QUAD) -> list[SweepRow]:
     """Evaluate the requested metric over the grid, in deterministic axis
     order (axis1 outer, axis2 inner, analytic rows before Monte Carlo)."""
     name1, values1 = spec.axis1
@@ -120,7 +118,7 @@ def sweep(cfg: NetworkConfig, spec: SweepSpec, n_trials: int = 10_000, seed: int
                                      value=_metric_from_report(report, spec.metric, point.legit_tier),
                                      stderr=None))
             if spec.engine in ("montecarlo", "both"):
-                est = montecarlo.estimate(point, n_trials, seed, n_jobs=n_jobs)
+                est = montecarlo.estimate(point, n_trials, seed)
                 key = f"p_av_{point.legit_tier}" if spec.metric == "p_av" else spec.metric
                 rows.append(SweepRow(axis1=v1, axis2=v2, metric=spec.metric, engine="montecarlo",
                                      value=est[key].mean, stderr=est[key].stderr))

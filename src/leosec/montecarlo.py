@@ -10,6 +10,9 @@ no use of the closed-form contact law.  A tier's in-cap count K is
 Binomial(N, (1 - cos theta_max) / 2); the tier is in view when K > 0.  The
 serving tier needs only its nearest cosine, the largest of K uniform cap
 cosines, ``c + (1 - c) * U**(1/K)``; an eavesdropper tier draws all K.
+``empirical_availability`` and ``sample_nearest_angles`` (the whole sphere,
+K = N) make these same draws, so the acceptance checks of the contact-angle
+law certify the simulator's own sampler.
 
 Exact pruning: interference only lowers an SINR, so a link that misses its
 threshold on part of its field misses it on the whole.  A field is drawn as
@@ -118,18 +121,28 @@ def _chunked_fields(cfg, rng, geom, cap_mean, n_fields) -> np.ndarray:
     return out
 
 
+def _in_cap_counts(rng, num_satellites: int, theta_max: float, n: int) -> np.ndarray:
+    """In-cap satellite count K of ``n`` worlds: Binomial(N, (1 - cos theta_max) / 2)."""
+    return rng.binomial(num_satellites, 0.5 * (1.0 - math.cos(theta_max)), n)
+
+
+def _nearest_cosines(rng, theta_max: float, counts) -> np.ndarray:
+    """Nearest of K = ``counts[i]`` > 0 uniform cap cosines: ``c + (1 - c) * U**(1/K)``."""
+    c = math.cos(theta_max)
+    return c + (1.0 - c) * rng.random(counts.size) ** (1.0 / counts)
+
+
 def _simulate_block(cfg, tiers, rng, n):
     """Indicators of ``n`` independent worlds: in view (n, tiers), covered
     (n,) and outage (n,).  Draws in-cap counts, then per tier the cosines,
     gains and staged device fields.  ``tiers`` holds (geometry, cap mean)."""
-    in_cap = np.stack([rng.binomial(g.num_satellites, 0.5 * (1.0 - math.cos(g.max_central_angle)), n)
+    in_cap = np.stack([_in_cap_counts(rng, g.num_satellites, g.max_central_angle, n)
                        for g, _ in tiers], axis=1)
     covered, outage = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     for k, (g, cap_mean) in enumerate(tiers):
         seen = np.flatnonzero(in_cap[:, k])
         if k == cfg.legit_tier:
-            owner, c = seen, math.cos(g.max_central_angle)
-            cosines = c + (1.0 - c) * rng.random(seen.size) ** (1.0 / in_cap[seen, k])
+            owner, cosines = seen, _nearest_cosines(rng, g.max_central_angle, in_cap[seen, k])
         else:
             owner = np.repeat(seen, in_cap[seen, k])
             cosines = sample_cap_cosines(rng, g.max_central_angle, owner.size)
@@ -218,32 +231,20 @@ def estimate_laplace(cfg: NetworkConfig, tier_index: int, s_grid,
     return out
 
 
-def _max_cosines(num_satellites: int, n_constellations: int, seed: int,
-                 batch: int) -> np.ndarray:
-    """Largest polar-angle cosine (i.e. the nearest satellite) of each of
-    ``n_constellations`` sampled constellations of N uniform shell points;
-    -inf for an empty constellation."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_constellations)
-    filled = 0
-    while filled < n_constellations:
-        b = min(batch, n_constellations - filled)
-        cos_t = rng.uniform(-1.0, 1.0, (b, num_satellites))
-        out[filled:filled + b] = cos_t.max(axis=1, initial=-np.inf)
-        filled += b
-    return out
-
-
 def empirical_availability(num_satellites: int, theta_max: float,
-                           n_constellations: int, seed: int,
-                           batch: int = 20_000) -> float:
-    """Fraction of sampled constellations with a satellite inside the cap."""
-    max_cos = _max_cosines(num_satellites, n_constellations, seed, batch)
-    return int((max_cos >= math.cos(theta_max)).sum()) / n_constellations
+                           n_constellations: int, seed: int) -> float:
+    """Fraction of sampled constellations with a satellite inside the cap,
+    drawn as the simulator draws its in-cap counts."""
+    counts = _in_cap_counts(np.random.default_rng(seed), num_satellites, theta_max,
+                            n_constellations)
+    return np.count_nonzero(counts) / n_constellations
 
 
-def sample_nearest_angles(num_satellites: int, n_samples: int, seed: int,
-                          batch: int = 20_000) -> np.ndarray:
-    """Nearest-satellite central angles over sampled constellations (pi
-    for an empty constellation)."""
-    return np.arccos(np.clip(_max_cosines(num_satellites, n_samples, seed, batch), -1.0, 1.0))
+def sample_nearest_angles(num_satellites: int, n_samples: int, seed: int) -> np.ndarray:
+    """Nearest-satellite central angles over sampled constellations, drawn as
+    the simulator draws its serving satellite (pi for an empty constellation)."""
+    if num_satellites == 0:
+        return np.full(n_samples, math.pi)
+    cosines = _nearest_cosines(np.random.default_rng(seed), math.pi,  # the sphere holds all N
+                               np.full(n_samples, num_satellites))
+    return np.arccos(np.minimum(cosines, 1.0))

@@ -230,9 +230,17 @@ def _huge_tx_power_dbm(doc):
     doc["tx_power_dbm"] = 1e5
 
 
+def _threshold_db(key):
+    # 10 ** (-5000 / 10) underflows to 0, which the positivity invariant rejects
+    def edit(doc):
+        del doc[key]
+        doc[f"{key}_db"] = -5000.0
+    return edit
+
+
 class TestErrorsNameTheJsonKey:
-    """Radio and fading invariants, tier keys and sweep names each raise a
-    ConfigError whose field is the key the user wrote."""
+    """Config, radio and fading invariants, tier keys and sweep names each
+    raise a ConfigError whose field is the key the user wrote."""
 
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc.update(fading_shape_m1=0), "fading_shape_m1"),
@@ -240,8 +248,12 @@ class TestErrorsNameTheJsonKey:
         (lambda doc: doc.update(info_ratio=-1), "info_ratio"),
         (_drop_first_altitude, "tiers[0].altitude_km"),
         (_huge_tx_power_dbm, "tx_power_dbm"),
+        (lambda doc: doc.update(theta_beam_rad=3), "theta_beam_rad"),
+        (_threshold_db("beta_ls"), "beta_ls_db"),
+        (_threshold_db("beta_es"), "beta_es_db"),
     ], ids=["fading_shape_m1", "fading_scale_m2", "info_ratio", "tier_altitude_km",
-            "tx_power_dbm_overflow"])
+            "tx_power_dbm_overflow", "theta_beam_rad", "beta_ls_db_underflow",
+            "beta_es_db_underflow"])
     def test_document_error(self, edit, field, tmp_path, capsys):
         doc = config_to_dict(table2_config())
         edit(doc)

@@ -7,6 +7,7 @@ import pytest
 from leosec import analytics, montecarlo
 from leosec.channel import db_to_linear
 from leosec.config import Tier, table2_config, with_parameter
+from leosec.geometry import contact_angle_cdf
 from leosec.montecarlo import (BLOCK_TRIALS, McEstimate, empirical_availability, estimate,
                                estimate_laplace, legit_link_sinr, run_trial,
                                sample_nearest_angles)
@@ -221,13 +222,17 @@ class TestSamplingHelpers:
 
     @pytest.mark.parametrize("n_sats, theta", [(1, 0.3), (10, 0.5), (100, 0.1585), (7, 1.2)])
     def test_availability_is_nearest_angle_within_cap(self, n_sats, theta):
-        # both draw the same constellations from the seed, batch by batch
-        emp = empirical_availability(n_sats, theta, 5000, seed=12, batch=1500)
-        angles = sample_nearest_angles(n_sats, 5000, seed=12, batch=1500)
-        assert emp == float(np.mean(angles <= theta))
+        # two independent estimates of one probability: the in-cap count
+        # draw and the nearest-angle draw must agree within 4 sigma
+        n = 20_000
+        emp = empirical_availability(n_sats, theta, n, seed=12)
+        from_angles = float(np.mean(sample_nearest_angles(n_sats, n, seed=13) <= theta))
+        p = contact_angle_cdf(theta, n_sats, math.pi)
+        assert abs(emp - from_angles) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
 
     def test_availability_without_satellites_is_zero(self):
         assert empirical_availability(0, math.pi / 2, 100, seed=1) == 0.0
+        assert np.all(sample_nearest_angles(0, 100, seed=1) == math.pi)
 
 
 def test_default_thread_count(monkeypatch):

@@ -30,6 +30,8 @@ def _model(cfg):
         "k1": (SPEED_OF_LIGHT / (4 * mp.pi * mp.mpf(radio.carrier_hz) * 1000)) ** 2,
         "m1": cfg.fading.shape_m1,
         "m2": mp.mpf(cfg.fading.scale_m2),
+        "rate": mp.factorial(cfg.fading.shape_m1) ** (mp.mpf(-1) / cfg.fading.shape_m1)
+        / mp.mpf(cfg.fading.scale_m2),
         "noise": mp.mpf(radio.noise_density_w_per_hz) * mp.mpf(radio.bandwidth_hz),
     }
 
@@ -47,25 +49,46 @@ def _laplace(s, rs, theta_max, k):
     return mp.exp(-k["lam"] * 2 * mp.pi * k["re"] ** 2 * exponent)
 
 
+def _exceed(theta, beta, margin, rs, theta_max, k):
+    """P[a link at angle theta clears SINR threshold beta]: the gain must
+    exceed beta * (I + noise) / (margin * P * G * pg(d)), and the fading
+    CCDF 1 - (1 - exp(-rate * x))^m1 expands into an alternating sum of
+    exponentials, each averaged over the interference I."""
+    m1 = k["m1"]
+    s = k["rate"] * beta * _distance_sq(theta, rs, k) / (margin * k["ptg"] * k["k1"])
+    return sum(math.comb(m1, q) * (-1) ** (q + 1) * mp.exp(-q * s * k["noise"])
+               * _laplace(q * s, rs, theta_max, k) for q in range(1, m1 + 1))
+
+
+def _coverage(cfg):
+    """E[serving link's exceed probability; nearest satellite in the cap].
+
+    The nearest angle has CDF u = 1 - ((1 + cos theta) / 2)^N, so the
+    expectation is the integral over u in [0, u(theta_max)] of the exceed
+    probability at theta(u) = arccos(2 (1 - u)^(1/N) - 1): a smooth
+    integrand, where the angle density itself is sharply peaked.
+    """
+    k = _model(cfg)
+    geom = cfg.legit_geometry()
+    n, beta, info = geom.num_satellites, mp.mpf(cfg.beta_ls), mp.mpf(cfg.radio.info_ratio)
+    rs, theta_max = mp.mpf(geom.shell_radius_km), mp.mpf(geom.max_central_angle)
+    u_max = 1 - ((1 + mp.cos(theta_max)) / 2) ** n
+    return mp.quad(lambda u: _exceed(mp.acos(2 * (1 - u) ** (mp.mpf(1) / n) - 1),
+                                     beta, info, rs, theta_max, k), [0, u_max])
+
+
 def _secrecy_outage(cfg):
     """Product over eavesdropper tiers of (1 - P[one satellite exceeds])^N."""
     k = _model(cfg)
-    m1, info = k["m1"], mp.mpf(cfg.radio.info_ratio)
-    beta = mp.mpf(cfg.beta_es)
-    rate = mp.factorial(m1) ** (mp.mpf(-1) / m1) / k["m2"]
+    info, beta = mp.mpf(cfg.radio.info_ratio), mp.mpf(cfg.beta_es)
     margin = info - beta * (1 - info)
     total = mp.mpf(1)
     for i, geom in enumerate(cfg.tier_geometries()):
         if i == cfg.legit_tier or geom.num_satellites == 0:
             continue
         rs, theta_max = mp.mpf(geom.shell_radius_km), mp.mpf(geom.max_central_angle)
-
-        def exceed(theta):
-            s = rate * beta * _distance_sq(theta, rs, k) / (margin * k["ptg"] * k["k1"])
-            return sum(math.comb(m1, q) * (-1) ** (q + 1) * mp.exp(-q * s * k["noise"])
-                       * _laplace(q * s, rs, theta_max, k) for q in range(1, m1 + 1))
-
-        mass = mp.quad(lambda t: exceed(t) * mp.sin(t) / 2, [0, theta_max])
+        mass = mp.quad(lambda t: _exceed(t, beta, margin, rs, theta_max, k) * mp.sin(t) / 2,
+                       [0, theta_max])
         total *= (1 - mass) ** geom.num_satellites
     return total
 
@@ -114,5 +137,20 @@ def test_secrecy_outage_matches_reference_at_tiny_threshold():
     with mp.workdps(DPS):
         want = _secrecy_outage(cfg)
     got = analytics.secrecy_outage_probability(cfg)
+    assert 0.0 < got < 1.0
+    assert abs(got - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cfg: replace(cfg, fading=replace(cfg.fading, shape_m1=3)),
+    lambda cfg: replace(cfg, tiers=tuple(replace(t, num_satellites=20) for t in cfg.tiers)),
+], ids=["shape_3", "20_satellites_per_tier"])
+def test_coverage_matches_reference(edit):
+    cfg = edit(table2_config())
+    # at shape <= 3 the fading sum cancels little, and 15 digits already put
+    # the reference within 1e-14 of the engine; more digits would only cost time
+    with mp.workdps(15):
+        want = _coverage(cfg)
+    got = analytics.coverage_probability(cfg)
     assert 0.0 < got < 1.0
     assert abs(got - want) <= 1e-8 * want
