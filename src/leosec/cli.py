@@ -17,15 +17,13 @@ import sys
 from dataclasses import replace
 
 from . import experiments, montecarlo
-from .analytics import DEFAULT_QUAD, QuadratureSpec, full_report
+from .analytics import DEFAULT_QUAD, LINK_METRICS, QuadratureSpec, full_report
 from .config import ConfigError, NetworkConfig, PRESETS, config_from_dict
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
-
-_LINK_METRICS = ("p_cov", "p_suc", "p_out", "p_sec")
 
 
 class CliInputError(ValueError):
@@ -116,20 +114,18 @@ def _mc_entry(est: montecarlo.McEstimate) -> dict:
 
 
 def _metrics_doc(values: dict, cfg: NetworkConfig) -> dict:
-    """analyze/simulate document from per-metric entries keyed ``p_av_<k>``,
-    p_cov, p_suc, p_out, p_sec."""
+    """analyze/simulate document from per-metric entries keyed as
+    ``MetricsReport.values``: ``p_av_<k>`` per tier, then the link metrics."""
     doc = {"p_av": values[f"p_av_{cfg.legit_tier}"],
            "p_av_per_tier": [values[f"p_av_{k}"] for k in range(len(cfg.tiers))]}
-    doc.update((name, values[name]) for name in _LINK_METRICS)
+    doc.update((name, values[name]) for name in LINK_METRICS)
     return doc
 
 
 # Each runner returns (json document, csv header, csv rows, exit code).
 
 def _run_analyze(cfg: NetworkConfig, ns: argparse.Namespace):
-    report = full_report(cfg, _quad(ns))
-    values = {f"p_av_{k}": v for k, v in enumerate(report.p_av_per_tier)}
-    values.update((name, getattr(report, name)) for name in _LINK_METRICS)
+    values = full_report(cfg, _quad(ns)).values()
     return (_metrics_doc(values, cfg), ["metric", "value"],
             [[name, v] for name, v in values.items()], EXIT_OK)
 

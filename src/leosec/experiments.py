@@ -5,14 +5,14 @@ import math
 from dataclasses import dataclass
 
 from . import analytics, montecarlo
-from .analytics import DEFAULT_QUAD, MetricsReport, QuadratureSpec
+from .analytics import DEFAULT_QUAD, LINK_METRICS, QuadratureSpec
 from .config import ConfigError, NetworkConfig, SWEEPABLE_PARAMETERS, with_parameter
 
 # Absolute agreement floor for engine comparison; the band per metric is
 # max(ABS_TOLERANCE, 3 * stderr).
 ABS_TOLERANCE = 0.02
 
-METRIC_NAMES = ("p_av", "p_cov", "p_suc", "p_out", "p_sec")
+METRIC_NAMES = ("p_av", *LINK_METRICS)
 
 ENGINES = ("analytic", "montecarlo", "both")
 
@@ -31,12 +31,6 @@ class ValidationRow:
     passed: bool
 
 
-def _metric_from_report(report: MetricsReport, metric: str, legit_tier: int) -> float:
-    if metric == "p_av":
-        return report.p_av_per_tier[legit_tier]
-    return getattr(report, metric)
-
-
 def validate(cfg: NetworkConfig, n_trials: int, seed: int,
              quad: QuadratureSpec = DEFAULT_QUAD) -> list[ValidationRow]:
     """Compare every analytic metric against its Monte Carlo estimate.
@@ -45,21 +39,15 @@ def validate(cfg: NetworkConfig, n_trials: int, seed: int,
     a row passes when |analytic - mc| <= max(ABS_TOLERANCE, 3 * stderr).
     Failing rows are data, not errors.
     """
-    report = analytics.full_report(cfg, quad)
+    report = analytics.full_report(cfg, quad)  # before the oracle: a QuadratureError fails fast
     est = montecarlo.estimate(cfg, n_trials, seed)
-
     rows = []
-
-    def add(metric: str, analytic_value: float, mc: montecarlo.McEstimate) -> None:
-        diff = abs(analytic_value - mc.mean)
-        band = max(ABS_TOLERANCE, 3.0 * mc.stderr)
-        rows.append(ValidationRow(metric=metric, analytic=analytic_value, mc_mean=mc.mean,
-                                  mc_stderr=mc.stderr, abs_diff=diff, passed=diff <= band))
-
-    for k in range(len(cfg.tiers)):
-        add(f"p_av_{k}", report.p_av_per_tier[k], est[f"p_av_{k}"])
-    for metric in ("p_cov", "p_suc", "p_out", "p_sec"):
-        add(metric, getattr(report, metric), est[metric])
+    for metric, value in report.values().items():
+        mc = est[metric]
+        diff = abs(value - mc.mean)
+        rows.append(ValidationRow(metric=metric, analytic=value, mc_mean=mc.mean,
+                                  mc_stderr=mc.stderr, abs_diff=diff,
+                                  passed=diff <= max(ABS_TOLERANCE, 3.0 * mc.stderr)))
     return rows
 
 
@@ -83,6 +71,8 @@ class SweepSpec:
                 raise ConfigError(name, "axis values must be non-empty")
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(name, "axis values must be finite")
+        if self.axis2 is not None and self.axis2[0] == self.axis1[0]:
+            raise ConfigError("axis2", f"sweeps {self.axis1[0]} again, which axis1 already sets")
         if self.metric not in METRIC_NAMES:
             raise ConfigError("metric", f"must be one of {METRIC_NAMES}, got {self.metric}")
         if self.engine not in ENGINES:
@@ -104,24 +94,22 @@ def sweep(cfg: NetworkConfig, spec: SweepSpec, n_trials: int = 10_000, seed: int
     """Evaluate the requested metric over the grid, in deterministic axis
     order (axis1 outer, axis2 inner, analytic rows before Monte Carlo)."""
     name1, values1 = spec.axis1
-    axis2 = spec.axis2 if spec.axis2 is not None else (None, (None,))
-    name2, values2 = axis2
+    name2, values2 = spec.axis2 or (None, (None,))
 
     rows = []
     for v1 in values1:
         cfg1 = with_parameter(cfg, name1, v1)
         for v2 in values2:
             point = cfg1 if name2 is None else with_parameter(cfg1, name2, v2)
+            key = f"p_av_{point.legit_tier}" if spec.metric == "p_av" else spec.metric
             if spec.engine in ("analytic", "both"):
-                report = analytics.full_report(point, quad)
+                value = analytics.full_report(point, quad).values()[key]
                 rows.append(SweepRow(axis1=v1, axis2=v2, metric=spec.metric, engine="analytic",
-                                     value=_metric_from_report(report, spec.metric, point.legit_tier),
-                                     stderr=None))
+                                     value=value, stderr=None))
             if spec.engine in ("montecarlo", "both"):
-                est = montecarlo.estimate(point, n_trials, seed)
-                key = f"p_av_{point.legit_tier}" if spec.metric == "p_av" else spec.metric
+                est = montecarlo.estimate(point, n_trials, seed)[key]
                 rows.append(SweepRow(axis1=v1, axis2=v2, metric=spec.metric, engine="montecarlo",
-                                     value=est[key].mean, stderr=est[key].stderr))
+                                     value=est.mean, stderr=est.stderr))
     return rows
 
 

@@ -10,10 +10,10 @@ from leosec.analytics import (ANCeilingError, DEFAULT_QUAD, MetricsReport,
                               QuadratureError, QuadratureSpec, an_ceiling,
                               availability_probability, coverage_probability,
                               full_report, integrate, interference_laplace, s_es,
-                              s_ls, secrecy_outage_probability, secure_probability,
-                              successful_probability)
+                              s_ls, secrecy_outage_probability, secure_probability)
 from leosec.config import Tier, table2_config, with_parameter
 from leosec.geometry import contact_angle_cdf, contact_angle_pdf, tier_geometry
+from strategies import fuzz_configs
 
 # Implementation outputs at the default scenario, recorded as goldens once the
 # Monte Carlo cross-checks below (and the acceptance suite) agreed with them.
@@ -262,21 +262,21 @@ class TestShapeTwoFading:
 
 class TestComposedMetrics:
     def test_successful_is_product(self, table2):
-        assert successful_probability(table2) == pytest.approx(
+        assert full_report(table2).p_suc == pytest.approx(
             availability_probability(table2.legit_geometry()) * coverage_probability(table2),
             rel=1e-14)
 
     def test_zero_when_unavailable(self, table2):
         cfg = replace(table2, tiers=(Tier(500.0, 500), Tier(1000.0, 0), Tier(1500.0, 500)))
-        assert successful_probability(cfg) == 0.0
+        assert full_report(cfg).p_suc == 0.0
 
     def test_zero_without_power_share(self, table2):
-        assert successful_probability(with_parameter(table2, "gamma", 0.0)) == 0.0
+        assert full_report(with_parameter(table2, "gamma", 0.0)).p_suc == 0.0
         assert secure_probability(with_parameter(table2, "gamma", 0.0)) == 0.0
 
     def test_secure_equals_successful_in_ceiling_regime(self, table2):
         cfg = with_parameter(table2, "gamma", 0.05)
-        assert secure_probability(cfg) == successful_probability(cfg)
+        assert secure_probability(cfg) == full_report(cfg).p_suc
 
     def test_golden_default(self, table2):
         assert secure_probability(table2) == pytest.approx(GOLDEN_P_SEC, rel=1e-10)
@@ -337,20 +337,6 @@ def test_tiny_eavesdropper_threshold_evaluates(table2, tiers, legit, beta_ls, be
     cfg = replace(table2, tiers=tuple(Tier(a, n) for a, n in tiers), legit_tier=legit,
                   fading=replace(table2.fading, shape_m1=5), beta_ls=beta_ls, beta_es=beta_es)
     assert_report_in_range(cfg, full_report(cfg))
-
-
-@st.composite
-def fuzz_configs(draw):
-    """Configs over the fuzz ranges: 1-4 tiers at 160-36,000 km with 0-5,000
-    satellites, fading shape 1-5, thresholds 1e-6..1e3 (log-uniform)."""
-    log_threshold = st.floats(math.log(1e-6), math.log(1e3))
-    tiers = draw(st.lists(st.tuples(st.floats(math.log(160.0), math.log(36_000.0)),
-                                    st.integers(0, 5_000)), min_size=1, max_size=4))
-    base = table2_config()
-    return replace(base, tiers=tuple(Tier(math.exp(a), n) for a, n in tiers),
-                   legit_tier=draw(st.integers(0, len(tiers) - 1)),
-                   fading=replace(base.fading, shape_m1=draw(st.integers(1, 5))),
-                   beta_ls=math.exp(draw(log_threshold)), beta_es=math.exp(draw(log_threshold)))
 
 
 @settings(max_examples=200, derandomize=True)

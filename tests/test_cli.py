@@ -117,6 +117,12 @@ class TestSweep:
         code, _, err = run_cli(["sweep", "--axis1", "gamma"], capsys)
         assert code == EXIT_INPUT
 
+    def test_same_parameter_on_both_axes_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--axis1", "gamma=0.2,0.6", "--axis2", "gamma=0.3,0.9"], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert "axis2:" in err
+
     def test_two_axes_with_montecarlo(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--axis1", "gamma=0.3", "--axis2", "num_satellites=100,200",

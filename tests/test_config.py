@@ -4,12 +4,12 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from leosec.channel import db_to_linear, dbm_to_watts
+from leosec.channel import MAX_SHAPE_M1, db_to_linear, dbm_to_watts
 from leosec.cli import EXIT_INPUT, main
 from leosec.config import (ConfigError, NetworkConfig, SWEEPABLE_PARAMETERS, Tier,
                            config_from_dict, config_to_dict, table2_config,
                            with_parameter)
-from test_analytics import fuzz_configs
+from strategies import fuzz_configs
 
 
 class TestPreset:
@@ -244,6 +244,7 @@ class TestErrorsNameTheJsonKey:
 
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc.update(fading_shape_m1=0), "fading_shape_m1"),
+        (lambda doc: doc.update(fading_shape_m1=MAX_SHAPE_M1 + 1), "fading_shape_m1"),
         (lambda doc: doc.update(fading_scale_m2=-1), "fading_scale_m2"),
         (lambda doc: doc.update(info_ratio=-1), "info_ratio"),
         (_drop_first_altitude, "tiers[0].altitude_km"),
@@ -251,7 +252,7 @@ class TestErrorsNameTheJsonKey:
         (lambda doc: doc.update(theta_beam_rad=3), "theta_beam_rad"),
         (_threshold_db("beta_ls"), "beta_ls_db"),
         (_threshold_db("beta_es"), "beta_es_db"),
-    ], ids=["fading_shape_m1", "fading_scale_m2", "info_ratio", "tier_altitude_km",
+    ], ids=["fading_shape_m1", "fading_shape_m1_above_bound", "fading_scale_m2", "info_ratio", "tier_altitude_km",
             "tx_power_dbm_overflow", "theta_beam_rad", "beta_ls_db_underflow",
             "beta_es_db_underflow"])
     def test_document_error(self, edit, field, tmp_path, capsys):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from leosec import analytics
+from leosec import analytics, montecarlo
 from leosec.channel import db_to_linear
 from leosec.config import ConfigError, Tier, table2_config, with_parameter
 from leosec.experiments import (ABS_TOLERANCE, SweepRow, SweepSpec, ValidationRow,
@@ -39,6 +39,16 @@ class TestValidate:
                       beta_ls=db_to_linear(-20.0))
         for r in validate(cfg, n_trials=5000, seed=1):
             assert r.passed, f"{r.metric}: |{r.analytic} - {r.mc_mean}| = {r.abs_diff}"
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(table2_config(), tiers=(Tier(1000.0, 500),), legit_tier=0), table2_config(),
+], ids=["one_tier", "table2"])
+def test_report_and_estimate_share_one_key_order(cfg):
+    keys = list(analytics.full_report(cfg).values())
+    assert keys == list(montecarlo.estimate(cfg, 300, 1))
+    assert keys == [f"p_av_{k}" for k in range(len(cfg.tiers))] + list(analytics.LINK_METRICS)
+    assert [r.metric for r in validate(cfg, n_trials=300, seed=1)] == keys
 
 
 class TestSweep:
@@ -79,6 +89,12 @@ class TestSweep:
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(axis1=("gamma", ()))
+
+    def test_same_parameter_on_both_axes_rejected(self):
+        # the inner axis would silently overwrite the outer one
+        with pytest.raises(ConfigError) as info:
+            SweepSpec(axis1=("gamma", (0.2, 0.6)), axis2=("gamma", (0.3, 0.9)))
+        assert info.value.field == "axis2"
 
     def test_bad_metric_and_engine_rejected(self):
         with pytest.raises(ConfigError, match="metric"):

@@ -10,7 +10,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from leosec.analytics import full_report
-from test_analytics import fuzz_configs
+from strategies import fuzz_configs
 
 
 def _report(cfg):

@@ -3,6 +3,9 @@
 Every quantity here is recomputed from the model's defining integrals with
 mpmath's adaptive quadrature at ``DPS`` significant digits, without the
 closed-form interference transform or the package's Gauss-Legendre rule.
+Where the fading sum has many terms, the transform runs on one fixed
+mpmath Gauss-Legendre rule per tier instead, first checked against the
+adaptive one.
 """
 import math
 from dataclasses import replace
@@ -10,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from leosec import analytics
+from leosec.channel import MAX_SHAPE_M1
 from leosec.config import Tier, table2_config
 
 mpmath = pytest.importorskip("mpmath")
@@ -49,15 +53,41 @@ def _laplace(s, rs, theta_max, k):
     return mp.exp(-k["lam"] * 2 * mp.pi * k["re"] ** 2 * exponent)
 
 
-def _exceed(theta, beta, margin, rs, theta_max, k):
+def _cap_rule(rs, theta_max, k, degree):
+    """mpmath's Gauss-Legendre rule of ``degree`` (3 * 2^(degree-1) nodes) on
+    the cap, as (weight * sin(phi), 1 / d(phi)^2) pairs for ``_laplace_on``."""
+    rule = mpmath.calculus.quadrature.GaussLegendre(mp)
+    return [(w * mp.sin(phi), 1 / _distance_sq(phi, rs, k))
+            for phi, w in rule.get_nodes(mp.zero, theta_max, degree, mp.prec)]
+
+
+def _laplace_on(s, cap_rule, k):
+    """``_laplace`` with one fixed rule shared by every s: the same integrand
+    at a fraction of the cost of adaptive quadrature per call."""
+    x = k["m2"] * s * k["ptg"] * k["k1"]
+    exponent = mp.fsum(w * (1 - (1 + x * inv_d2) ** (-k["m1"])) for w, inv_d2 in cap_rule)
+    return mp.exp(-k["lam"] * 2 * mp.pi * k["re"] ** 2 * exponent)
+
+
+def _scaling(theta, beta, margin, rs, k):
+    """Per-unit-power factor s of a link's threshold event at angle theta."""
+    return k["rate"] * beta * _distance_sq(theta, rs, k) / (margin * k["ptg"] * k["k1"])
+
+
+def _exceed(theta, beta, margin, rs, theta_max, k, cap_rule=None):
     """P[a link at angle theta clears SINR threshold beta]: the gain must
     exceed beta * (I + noise) / (margin * P * G * pg(d)), and the fading
     CCDF 1 - (1 - exp(-rate * x))^m1 expands into an alternating sum of
-    exponentials, each averaged over the interference I."""
+    exponentials, each averaged over the interference I (by adaptive
+    quadrature, or on ``cap_rule`` when one is given)."""
     m1 = k["m1"]
-    s = k["rate"] * beta * _distance_sq(theta, rs, k) / (margin * k["ptg"] * k["k1"])
+    s = _scaling(theta, beta, margin, rs, k)
+
+    def laplace(x):
+        return _laplace(x, rs, theta_max, k) if cap_rule is None else _laplace_on(x, cap_rule, k)
+
     return sum(math.comb(m1, q) * (-1) ** (q + 1) * mp.exp(-q * s * k["noise"])
-               * _laplace(q * s, rs, theta_max, k) for q in range(1, m1 + 1))
+               * laplace(q * s) for q in range(1, m1 + 1))
 
 
 def _coverage(cfg):
@@ -77,8 +107,14 @@ def _coverage(cfg):
                                      beta, info, rs, theta_max, k), [0, u_max])
 
 
-def _secrecy_outage(cfg):
-    """Product over eavesdropper tiers of (1 - P[one satellite exceeds])^N."""
+def _secrecy_outage(cfg, rule_degree=None):
+    """Product over eavesdropper tiers of (1 - P[one satellite exceeds])^N.
+
+    With ``rule_degree`` the transform runs on one shared Gauss-Legendre cap
+    rule per tier, and the outer integral on mpmath's Gauss-Legendre method;
+    the shared rule is first checked against adaptive quadrature of the
+    transform at the extreme arguments the fading sum reaches.
+    """
     k = _model(cfg)
     info, beta = mp.mpf(cfg.radio.info_ratio), mp.mpf(cfg.beta_es)
     margin = info - beta * (1 - info)
@@ -87,8 +123,15 @@ def _secrecy_outage(cfg):
         if i == cfg.legit_tier or geom.num_satellites == 0:
             continue
         rs, theta_max = mp.mpf(geom.shell_radius_km), mp.mpf(geom.max_central_angle)
-        mass = mp.quad(lambda t: _exceed(t, beta, margin, rs, theta_max, k) * mp.sin(t) / 2,
-                       [0, theta_max])
+        rule, method = None, "tanh-sinh"
+        if rule_degree is not None:
+            rule, method = _cap_rule(rs, theta_max, k, rule_degree), "gauss-legendre"
+            for s in (_scaling(0, beta, margin, rs, k),
+                      k["m1"] * _scaling(theta_max, beta, margin, rs, k)):
+                want = _laplace(s, rs, theta_max, k)
+                assert abs(_laplace_on(s, rule, k) - want) <= mp.mpf(10) ** (4 - mp.dps) * want
+        mass = mp.quad(lambda t: _exceed(t, beta, margin, rs, theta_max, k, rule) * mp.sin(t) / 2,
+                       [0, theta_max], method=method)
         total *= (1 - mass) ** geom.num_satellites
     return total
 
@@ -139,6 +182,20 @@ def test_secrecy_outage_matches_reference_at_tiny_threshold():
     got = analytics.secrecy_outage_probability(cfg)
     assert 0.0 < got < 1.0
     assert abs(got - want) <= 1e-8 * want
+
+
+def test_secrecy_outage_matches_reference_at_largest_fading_shape():
+    # The fading sum alternates over q = 1..m1 with binomial weights, so its
+    # rounding error grows like 2^m1; at the largest accepted shape p_out
+    # still matches the reference to rel 4e-12.  The sum cancels about six
+    # digits there, leaving 14 of DPS's 20.
+    cfg = table2_config()
+    cfg = replace(cfg, fading=replace(cfg.fading, shape_m1=MAX_SHAPE_M1))
+    with mp.workdps(DPS):
+        want = _secrecy_outage(cfg, rule_degree=4)
+    got = analytics.secrecy_outage_probability(cfg)
+    assert 0.0 < got < 1.0
+    assert abs(got - want) <= 1e-10 * want
 
 
 @pytest.mark.parametrize("edit", [
