@@ -25,10 +25,16 @@ is therefore exact and quadrature-free.
 
 Coverage and outage integrate a conditional SINR-threshold probability -- a
 finite alternating binomial sum in the fading shape -- against the relevant
-contact-angle density.  These outer integrals are the only quadrature left:
-each is 1-D on a bounded interval with a smooth integrand, so the
-fixed-node composite Gauss-Legendre rule with one panel-doubling convergence
-check (``QuadratureSpec``) is both fast and reliable.
+contact-angle density.  The power share and the thresholds enter it only
+through ``NetworkConfig.link_threshold``, the ratio S / (I + N) a link must
+clear, which the simulator compares against too; a link that can never
+clear it (gamma = 0, or an eavesdropper at or under the jamming ceiling)
+integrates to 0, so p_cov is 0 and p_out is 1 there with no special case.
+
+These outer integrals are the only quadrature left: each is 1-D on a
+bounded interval with a smooth integrand, so the fixed-node composite
+Gauss-Legendre rule with one panel-doubling convergence check
+(``QuadratureSpec``) is both fast and reliable.
 """
 from __future__ import annotations
 
@@ -50,16 +56,6 @@ _BRACKET_SLACK = 1e-12
 
 class QuadratureError(ArithmeticError):
     """Panel refinement failed to converge within the doubling budget."""
-
-
-class ANCeilingError(ValueError):
-    """Eavesdropper SINR threshold exceeds the jamming-imposed ceiling.
-
-    When info_ratio <= beta_es / (1 + beta_es), no eavesdropper can ever
-    reach beta_es (its SINR is capped below info_ratio / (1 - info_ratio)),
-    so the secrecy-outage probability is exactly 1 and the eavesdropper
-    scaling factor is undefined.
-    """
 
 
 @dataclass(frozen=True)
@@ -181,50 +177,16 @@ def interference_laplace(s, tier: TierGeometry, cfg: NetworkConfig):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _link_scaling(theta, cfg: NetworkConfig, tier: TierGeometry, beta: float, margin: float):
-    """rate * beta / (margin * P * G * pg(d(theta))): the per-unit-power
-    factor (1/W) of a link's threshold event at central angle theta."""
+def _link_scaling(theta, cfg: NetworkConfig, tier: TierGeometry, threshold: float):
+    """rate * threshold / (P * G * pg(d(theta))): the per-unit-power factor
+    (1/W) of a link's threshold event at central angle theta, for the link
+    threshold of ``NetworkConfig.link_threshold``.  The probability that the
+    link clears it, given the angle and interference I, is a binomial sum in
+    exp(-q * scaling * (I + noise))."""
     radio = cfg.radio
     d = central_angle_to_distance(theta, tier.shell_radius_km, cfg.earth_radius_km)
-    denom = margin * radio.tx_power_w * radio.antenna_gain_linear
-    return cfg.fading.rate * beta / (denom * path_gain(d, radio.carrier_hz))
-
-
-def s_ls(theta, cfg: NetworkConfig):
-    """Exponent scaling for the serving link's threshold event at angle theta.
-
-    The probability that the serving link exceeds its threshold, conditioned
-    on angle and interference I, is a binomial sum in exp(-q * s_ls(theta) *
-    (I + noise)); this returns that per-unit-power factor (1/W).
-    """
-    if cfg.radio.info_ratio <= 0.0:
-        raise ValueError("info_ratio must be positive to form the serving-link scaling")
-    return _link_scaling(theta, cfg, cfg.legit_geometry(), cfg.beta_ls, cfg.radio.info_ratio)
-
-
-def _es_margin(info_ratio: float, beta_es: float) -> float:
-    """Eavesdropper's effective signal share, shrunk by the uncancelled jamming."""
-    return info_ratio - beta_es * (1.0 - info_ratio)
-
-
-def an_ceiling(info_ratio: float, beta_es: float) -> bool:
-    """True when the jamming share caps eavesdropper SINR below beta_es."""
-    return _es_margin(info_ratio, beta_es) <= 0.0
-
-
-def s_es(theta, cfg: NetworkConfig, tier: TierGeometry):
-    """Eavesdropper counterpart of s_ls for a satellite of the given tier.
-
-    Raises ANCeilingError when ``_es_margin`` is not positive (the threshold
-    is unreachable).
-    """
-    radio = cfg.radio
-    margin = _es_margin(radio.info_ratio, cfg.beta_es)
-    if margin <= 0.0:
-        raise ANCeilingError(
-            f"info_ratio {radio.info_ratio} is at or below the ceiling "
-            f"beta_es/(1+beta_es) = {cfg.beta_es / (1.0 + cfg.beta_es)}")
-    return _link_scaling(theta, cfg, tier, cfg.beta_es, margin)
+    denom = radio.tx_power_w * radio.antenna_gain_linear
+    return cfg.fading.rate * threshold / (denom * path_gain(d, radio.carrier_hz))
 
 
 def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig) -> np.ndarray:
@@ -241,15 +203,21 @@ def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig
     return np.clip(acc, 0.0, 1.0)
 
 
-def _checked_cap_integral(scaling, weight, geom: TierGeometry, cfg: NetworkConfig,
+def _checked_cap_integral(cfg: NetworkConfig, k: int, geom: TierGeometry, weight,
                          quad: QuadratureSpec, label: str, bound: float) -> float:
-    """Integral over the cap [0, theta_max] of exceed(scaling(theta)) *
-    weight(theta), exceed being the threshold probability given the angle.
+    """Integral over tier ``k``'s cap [0, theta_max] of exceed(theta) *
+    weight(theta), exceed being the probability, given the angle, that a
+    link to that tier clears ``cfg.link_threshold(k)``; 0 when no link can.
     A QuadratureError is re-raised prefixed by ``label``; a result within
     _BRACKET_SLACK of [0, bound] (quadrature rounding) is clipped onto it, a
     larger miss raises ArithmeticError."""
+    threshold = cfg.link_threshold(k)
+    if threshold == math.inf:
+        return 0.0
+
     def integrand(theta):
-        return _threshold_exceed_given_angle(scaling(theta), geom, cfg) * weight(theta)
+        scaling = _link_scaling(theta, cfg, geom, threshold)
+        return _threshold_exceed_given_angle(scaling, geom, cfg) * weight(theta)
 
     try:
         value = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
@@ -267,12 +235,12 @@ def coverage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD
     metric and the serving tier.
     """
     geom = cfg.legit_geometry()
-    if geom.num_satellites == 0 or cfg.radio.info_ratio == 0.0:
+    if geom.num_satellites == 0:
         return 0.0
     return _checked_cap_integral(
-        lambda theta: s_ls(theta, cfg),
+        cfg, cfg.legit_tier, geom,
         lambda theta: contact_angle_pdf(theta, geom.num_satellites, geom.max_central_angle),
-        geom, cfg, quad, f"coverage, tier {cfg.legit_tier}", availability_probability(geom))
+        quad, f"coverage, tier {cfg.legit_tier}", availability_probability(geom))
 
 
 def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -288,15 +256,12 @@ def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAUL
     complement is rounding dust.  A QuadratureError names the metric and the
     eavesdropper tier.
     """
-    if an_ceiling(cfg.radio.info_ratio, cfg.beta_es):
-        return 1.0
     log_total = 0.0
     for k, geom in enumerate(cfg.tier_geometries()):
         if k == cfg.legit_tier or geom.num_satellites == 0:
             continue
-        mass = _checked_cap_integral(lambda theta: s_es(theta, cfg, geom),
-                                     lambda theta: np.sin(theta) / 2.0,
-                                     geom, cfg, quad, f"secrecy outage, tier {k}", 1.0)
+        mass = _checked_cap_integral(cfg, k, geom, lambda theta: np.sin(theta) / 2.0,
+                                     quad, f"secrecy outage, tier {k}", 1.0)
         if mass == 1.0:
             return 0.0
         log_total += geom.num_satellites * math.log1p(-mass)

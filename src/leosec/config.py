@@ -84,6 +84,26 @@ class NetworkConfig:
     def noise_w(self) -> float:
         return noise_power(self.radio.noise_density_w_per_hz, self.radio.bandwidth_hz)
 
+    def link_threshold(self, k: int) -> float:
+        """Smallest S / (I + N) at which a link to tier ``k`` clears its SINR
+        threshold, S being the link's whole received signal power.
+
+        The serving tier cancels the jamming share, so its link clears
+        beta_ls when the ratio exceeds beta_ls / gamma.  An eavesdropper
+        cannot: its SINR gamma * S / ((1 - gamma) * S + I + N) reaches
+        beta_es when the ratio reaches beta_es / (gamma - beta_es * (1 -
+        gamma)).  ``inf`` when no link can clear: at gamma = 0, and for an
+        eavesdropper at or below the jamming ceiling gamma <= beta_es / (1 +
+        beta_es), where its SINR stays below gamma / (1 - gamma) <= beta_es,
+        so the secrecy-outage probability is exactly 1.  Both engines decide
+        links by this one rule.
+        """
+        gamma = self.radio.info_ratio
+        if k == self.legit_tier:
+            return self.beta_ls / gamma if gamma > 0.0 else math.inf
+        margin = gamma - self.beta_es * (1.0 - gamma)
+        return self.beta_es / margin if margin > 0.0 else math.inf
+
 
 def table2_config() -> NetworkConfig:
     """Default three-tier scenario (tiers at 500/1000/1500 km, 500 satellites

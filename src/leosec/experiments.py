@@ -71,8 +71,12 @@ class SweepSpec:
                 raise ConfigError(name, "axis values must be non-empty")
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(name, "axis values must be finite")
-        if self.axis2 is not None and self.axis2[0] == self.axis1[0]:
-            raise ConfigError("axis2", f"sweeps {self.axis1[0]} again, which axis1 already sets")
+        names = [axis[0] for axis in (self.axis1, self.axis2) if axis is not None]
+        if len(set(names)) < len(names):
+            raise ConfigError("axis2", f"sweeps {names[0]} again, which axis1 already sets")
+        if set(names) == {"altitude_m", "legit_tier"}:  # altitude_m moves the tier then serving
+            raise ConfigError("axis2", "altitude_m and legit_tier in one sweep would make "
+                              "the result depend on axis order")
         if self.metric not in METRIC_NAMES:
             raise ConfigError("metric", f"must be one of {METRIC_NAMES}, got {self.metric}")
         if self.engine not in ENGINES:

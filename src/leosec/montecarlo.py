@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import received_power, sample_fades, sinr_eavesdropper, sinr_legitimate
+from .channel import received_power, sample_fades
 from .config import NetworkConfig
 from .geometry import cap_area_km2, central_angle_to_distance, sample_cap_cosines
 
@@ -68,23 +68,15 @@ class McEstimate:
     master_seed: int
 
 
-def legit_link_sinr(cfg: NetworkConfig, theta0, fade, interference_w):
-    """Serving-link SINR for given contact angles, channel gains and
-    interference powers (scalars or arrays)."""
-    geom = cfg.legit_geometry()
-    d = central_angle_to_distance(theta0, geom.shell_radius_km, cfg.earth_radius_km)
-    signal = received_power(cfg.radio, d, fade)
-    return sinr_legitimate(signal, interference_w, cfg.noise_w, cfg.radio.info_ratio)
-
-
 def _clears(cfg, k, geom, thetas, fades, interference_w):
-    """Whether each link to tier ``k`` clears its threshold: SINR above
-    beta_ls for the serving tier, at least beta_es for an eavesdropper."""
-    if k == cfg.legit_tier:
-        return legit_link_sinr(cfg, thetas, fades, interference_w) > cfg.beta_ls
+    """Whether each link to tier ``k`` clears its threshold: a ratio
+    S / (I + N) above ``cfg.link_threshold(k)`` for the serving tier, at
+    least it for an eavesdropper (SINR above beta_ls, at least beta_es)."""
     d = central_angle_to_distance(thetas, geom.shell_radius_km, cfg.earth_radius_km)
-    signal = received_power(cfg.radio, d, fades)
-    return sinr_eavesdropper(signal, interference_w, cfg.noise_w, cfg.radio.info_ratio) >= cfg.beta_es
+    ratio = received_power(cfg.radio, d, fades) / (interference_w + cfg.noise_w)
+    if k == cfg.legit_tier:
+        return ratio > cfg.link_threshold(k)
+    return ratio >= cfg.link_threshold(k)
 
 
 def _cap_mean(cfg: NetworkConfig, geom) -> float:

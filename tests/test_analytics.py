@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leosec import analytics, montecarlo
-from leosec.analytics import (ANCeilingError, DEFAULT_QUAD, MetricsReport,
-                              QuadratureError, QuadratureSpec, an_ceiling,
-                              availability_probability, coverage_probability,
-                              full_report, integrate, interference_laplace, s_es,
-                              s_ls, secrecy_outage_probability, secure_probability)
+from leosec.analytics import (DEFAULT_QUAD, MetricsReport, QuadratureError, QuadratureSpec,
+                              _link_scaling, availability_probability, coverage_probability,
+                              full_report, integrate, interference_laplace,
+                              secrecy_outage_probability, secure_probability)
 from leosec.config import Tier, table2_config, with_parameter
 from leosec.geometry import contact_angle_cdf, contact_angle_pdf, tier_geometry
 from strategies import fuzz_configs
@@ -141,29 +140,43 @@ class TestInterferenceLaplace:
 
 class TestScalingFactors:
     def test_es_reduces_to_ls_without_an(self, table2):
-        # with info_ratio 1 and equal thresholds the two factors coincide
+        # with info_ratio 1 and equal thresholds the two tiers' thresholds,
+        # and so their factors, coincide
         cfg = replace(with_parameter(table2, "gamma", 1.0), beta_es=table2.beta_ls)
+        assert cfg.link_threshold(0) == pytest.approx(cfg.link_threshold(cfg.legit_tier),
+                                                      rel=1e-12)
         geom = cfg.legit_geometry()
         for theta in (0.01, 0.2, 0.4):
-            assert s_es(theta, cfg, geom) == pytest.approx(s_ls(theta, cfg), rel=1e-12)
+            assert _link_scaling(theta, cfg, geom, cfg.link_threshold(0)) == pytest.approx(
+                _link_scaling(theta, cfg, geom, cfg.link_threshold(cfg.legit_tier)), rel=1e-12)
 
     def test_default_margin_is_finite(self, table2):
         # info_ratio 0.1 against beta_es 0.1 leaves margin 0.01
-        geom = table2.tier_geometries()[0]
-        assert s_es(0.1, table2, geom) > 0.0
+        assert table2.link_threshold(0) == pytest.approx(0.1 / 0.01, rel=1e-12)
+        assert 0.0 < _link_scaling(0.1, table2, table2.tier_geometries()[0],
+                                   table2.link_threshold(0)) < math.inf
 
-    def test_ceiling_condition_raises(self, table2):
+    def test_ceiling_condition_is_unreachable(self, table2):
         cfg = with_parameter(table2, "gamma", 0.05)  # 0.05 - 0.1*0.95 < 0
-        with pytest.raises(ANCeilingError):
-            s_es(0.1, cfg, cfg.tier_geometries()[0])
+        assert cfg.link_threshold(0) == math.inf
+        assert cfg.link_threshold(2) == math.inf
+        assert cfg.link_threshold(cfg.legit_tier) < math.inf
 
-    def test_an_ceiling_predicate(self):
-        assert an_ceiling(0.05, 0.1)
-        assert an_ceiling(0.1 / 1.1, 0.1)  # boundary is inclusive
-        assert not an_ceiling(0.1, 0.1)
+    def test_an_ceiling_predicate(self, table2):
+        def unreachable(gamma):
+            return with_parameter(table2, "gamma", gamma).link_threshold(0) == math.inf
+        assert unreachable(0.05)
+        assert unreachable(0.1 / 1.1)  # boundary is inclusive
+        assert not unreachable(0.1)
 
-    def test_s_ls_increases_with_distance(self, table2):
-        assert s_ls(0.4, table2) > s_ls(0.1, table2)
+    def test_serving_link_unreachable_without_message_power(self, table2):
+        cfg = with_parameter(table2, "gamma", 0.0)
+        assert cfg.link_threshold(cfg.legit_tier) == math.inf
+        assert cfg.link_threshold(0) == math.inf
+
+    def test_scaling_increases_with_distance(self, table2):
+        geom, t = table2.legit_geometry(), table2.link_threshold(table2.legit_tier)
+        assert _link_scaling(0.4, table2, geom, t) > _link_scaling(0.1, table2, geom, t)
 
 
 class TestCoverage:

@@ -2,31 +2,32 @@
 
 ``bench/tracer.py`` wraps every function its ``TARGETS`` table names and
 reports a missing one as absent; ``bench/run.py`` probes ``estimate`` for
-``n_jobs`` and reads a workload's result from the last line of its stdout,
-as JSON with every metric a number.  So every target must resolve, library
-calls must print nothing, traced or not, and a trace must yield finite
-metrics.
+``n_jobs`` in its thread probe and reads a workload's result from the last
+line of its stdout, as JSON with every metric a number.  So every target
+must resolve, library calls must print nothing, traced or not, and a trace
+and the thread probe must yield finite metrics.
 """
 import importlib.util
 import inspect
 import json
 import math
+import os
 from pathlib import Path
 
 from leosec import analytics, cli, experiments, montecarlo
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_tracer_target_resolves_to_a_callable():
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     tracer.install()
     try:
         assert tracer.absent == set()
@@ -49,11 +50,13 @@ def test_library_calls_write_nothing_to_stdout(table2, tmp_path, capsys):
 
 
 def test_traced_unit_yields_finite_metrics(table2, tmp_path, capsys):
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     tracer.install()
     try:
         analytics.full_report(table2)
         experiments.optimize_gamma(table2, grid_points=3)
+        # gamma 0.05 is under the jamming ceiling, 0.5 above it
+        experiments.sweep(table2, experiments.SweepSpec(axis1=("gamma", (0.05, 0.5))))
         experiments.validate(table2, 300, 1)
         montecarlo.run_trial(table2, 1)
         out = tmp_path / "report.json"
@@ -62,6 +65,12 @@ def test_traced_unit_yields_finite_metrics(table2, tmp_path, capsys):
         tracer.restore()
     assert capsys.readouterr().out == ""
     metrics = tracer.metrics()
+    # run.py adds its Monte Carlo thread probe to the per-layer metrics; a
+    # 2-thread rate may be absent only where this process has one CPU
+    probe = _load("run")._thread_probe()
+    if len(os.sched_getaffinity(0)) < 2:
+        probe = {name: v for name, v in probe.items() if v is not None}
+    metrics.update(probe)
     bad = {name: v for name, v in metrics.items()
            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)}
     assert bad == {}

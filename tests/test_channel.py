@@ -1,13 +1,16 @@
 import math
+import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leosec.channel import (FadingParams, RadioParams, db_to_linear, dbm_to_watts,
                             gamma_fade_ccdf_bound, noise_power, path_gain,
                             received_power, sample_fades,
                             sinr_eavesdropper, sinr_legitimate)
+from leosec.config import table2_config
 
 from conftest import ks_distance
 
@@ -187,6 +190,35 @@ class TestSinr:
            st.floats(0.01, 0.99))
     def test_eavesdropper_below_an_ceiling(self, s, i, n, g):
         assert sinr_eavesdropper(s, i, n, g) < g / (1.0 - g)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# Draws within this relative distance of an SINR threshold are skipped: the
+# ratio rule and the SINR formula round differently, by a few ulps.
+_TIE_REL = 16 * np.finfo(float).eps
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_log_uniform(1e-20, 1e-8), st.one_of(st.just(0.0), _log_uniform(1e-20, 1e-10)),
+       _log_uniform(1e-18, 1e-12), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       _log_uniform(1e-6, 1e3), _log_uniform(1e-6, 1e3))
+def test_link_threshold_matches_sinr_formulas(s, i, n, gamma, beta_ls, beta_es):
+    """``NetworkConfig.link_threshold``, the rule both engines share, against
+    the SINR formulas: S / (I + N) > threshold iff the serving SINR exceeds
+    beta_ls, and S / (I + N) >= threshold iff an eavesdropper's SINR reaches
+    beta_es (none can under the jamming ceiling, where the threshold is inf)."""
+    base = table2_config()
+    cfg = replace(base, radio=replace(base.radio, info_ratio=gamma),
+                  beta_ls=beta_ls, beta_es=beta_es)
+    ratio = s / (i + n)
+    for k, sinr, beta, clears in (
+            (cfg.legit_tier, sinr_legitimate(s, i, n, gamma), beta_ls, operator.gt),
+            (0, sinr_eavesdropper(s, i, n, gamma), beta_es, operator.ge)):
+        assume(abs(sinr - beta) > _TIE_REL * beta)
+        assert clears(ratio, cfg.link_threshold(k)) == clears(sinr, beta)
 
 
 def test_radio_params_validation():

@@ -123,6 +123,13 @@ class TestSweep:
         assert code == EXIT_INPUT and out == ""
         assert "axis2:" in err
 
+    def test_altitude_with_legit_tier_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--axis1", "altitude_m=600,1400", "--axis2", "legit_tier=0,2",
+             "--metric", "p_av"], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert "axis2:" in err
+
     def test_two_axes_with_montecarlo(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--axis1", "gamma=0.3", "--axis2", "num_satellites=100,200",

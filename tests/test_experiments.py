@@ -96,6 +96,15 @@ class TestSweep:
             SweepSpec(axis1=("gamma", (0.2, 0.6)), axis2=("gamma", (0.3, 0.9)))
         assert info.value.field == "axis2"
 
+    def test_altitude_with_legit_tier_rejected(self):
+        # altitude_m moves the tier serving when it is applied, so the two
+        # axis orders would sweep different tiers' altitudes
+        for axis1, axis2 in ((("altitude_m", (600.0, 1400.0)), ("legit_tier", (0.0, 2.0))),
+                             (("legit_tier", (0.0, 2.0)), ("altitude_m", (600.0, 1400.0)))):
+            with pytest.raises(ConfigError) as info:
+                SweepSpec(axis1=axis1, axis2=axis2, metric="p_av")
+            assert info.value.field == "axis2"
+
     def test_bad_metric_and_engine_rejected(self):
         with pytest.raises(ConfigError, match="metric"):
             SweepSpec(axis1=("gamma", (0.1,)), metric="p_bogus")

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from leosec import analytics, montecarlo
-from leosec.channel import db_to_linear
+from leosec.channel import db_to_linear, received_power, sinr_legitimate
 from leosec.config import Tier, table2_config, with_parameter
-from leosec.geometry import contact_angle_cdf
+from leosec.geometry import central_angle_to_distance, contact_angle_cdf
 from leosec.montecarlo import (BLOCK_TRIALS, McEstimate, empirical_availability, estimate,
-                               estimate_laplace, legit_link_sinr, run_trial,
+                               estimate_laplace, run_trial,
                                sample_nearest_angles)
 
 # Hand-composed serving-link SINR at the sub-satellite point with the channel
@@ -46,8 +46,16 @@ class TestRunTrial:
 
 def test_pinned_nadir_link_sinr(table2):
     cfg = replace(table2, device_density_per_km2=0.0)
-    sinr = legit_link_sinr(cfg, theta0=0.0, fade=cfg.fading.scale_m2, interference_w=0.0)
+    geom = cfg.legit_geometry()
+    d = central_angle_to_distance(0.0, geom.shell_radius_km, cfg.earth_radius_km)
+    signal = received_power(cfg.radio, d, cfg.fading.scale_m2)
+    sinr = sinr_legitimate(signal, 0.0, cfg.noise_w, cfg.radio.info_ratio)
     assert sinr == pytest.approx(PINNED_NADIR_SINR, rel=1e-12)
+    # the simulator's rule decides this link as its SINR does
+    fade, k = np.array([cfg.fading.scale_m2]), cfg.legit_tier
+    for beta_ls, clears in ((0.99 * sinr, True), (1.01 * sinr, False)):
+        point = replace(cfg, beta_ls=beta_ls)
+        assert montecarlo._clears(point, k, geom, np.zeros(1), fade, 0.0)[0] == clears
 
 
 class TestEstimate:
@@ -107,19 +115,54 @@ SPOT_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", SPOT_CONFIGS)
-def test_spot_check_against_closed_forms(table2, name):
-    """Every metric within |z| <= 4 of its closed form at 10^5 trials, with
+def _assert_within_four_sigma(cfg, n, seed):
+    """Every metric within |z| <= 4 of its closed form at ``n`` trials, with
     no absolute floor; z uses the binomial stderr at the closed-form value."""
-    cfg = SPOT_CONFIGS[name](table2)
-    n = 100_000
-    report = analytics.full_report(cfg)
-    est = estimate(cfg, n, master_seed=1)
-    expected = report.values()
+    expected = analytics.full_report(cfg).values()
+    est = estimate(cfg, n, master_seed=seed)
     assert set(expected) == set(est)
     for metric, value in expected.items():
         stderr = math.sqrt(value * (1.0 - value) / n)
         assert abs(est[metric].mean - value) <= 4.0 * stderr, (metric, value, est[metric])
+
+
+@pytest.mark.parametrize("name", SPOT_CONFIGS)
+def test_spot_check_against_closed_forms(table2, name):
+    _assert_within_four_sigma(SPOT_CONFIGS[name](table2), 100_000, seed=1)
+
+
+# Random spot checks draw from the fuzz ranges of ``strategies.fuzz_configs``
+# (1-3 tiers here), plus a power share uniform on (0, 1], so some configs sit
+# under the jamming ceiling (7 of the 20).  The simulator's cost grows with
+# each eavesdropper tier's in-cap satellites times its cap's device count, so
+# altitudes stop at 1,500 km and satellite counts at 500.  At 4,000 trials on
+# 2 shared cores the 20 checks then take about 1 s in all, and the costliest
+# config within the bounds (three full 1,500 km tiers, every link clearing)
+# 1.8 s; the full fuzz ranges reach minutes.
+RANDOM_SPOT_CONFIGS = 20
+RANDOM_SPOT_MAX_ALTITUDE_KM = 1_500.0
+RANDOM_SPOT_MAX_SATELLITES = 500
+
+
+def _random_spot_config(base, seed):
+    rng = np.random.default_rng(seed)
+    n_tiers = int(rng.integers(1, 4))
+    altitudes = np.exp(rng.uniform(math.log(160.0), math.log(RANDOM_SPOT_MAX_ALTITUDE_KM), n_tiers))
+    counts = rng.integers(0, RANDOM_SPOT_MAX_SATELLITES + 1, n_tiers)
+    beta_ls, beta_es = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 2))
+    tiers = tuple(Tier(float(a), int(n)) for a, n in zip(altitudes, counts))
+    return replace(base, tiers=tiers,
+                   legit_tier=int(rng.integers(0, n_tiers)),
+                   radio=replace(base.radio, info_ratio=1.0 - rng.random()),
+                   fading=replace(base.fading, shape_m1=int(rng.integers(1, 6))),
+                   beta_ls=float(beta_ls), beta_es=float(beta_es))
+
+
+@pytest.mark.parametrize("seed", range(RANDOM_SPOT_CONFIGS))
+def test_random_config_spot_check(table2, seed):
+    """A random fuzz-range config, drawn within ``RANDOM_SPOT_MAX_ALTITUDE_KM``
+    and ``RANDOM_SPOT_MAX_SATELLITES``, at 4,000 trials."""
+    _assert_within_four_sigma(_random_spot_config(table2, seed), 4_000, seed)
 
 
 class TestEstimateLaplace:
