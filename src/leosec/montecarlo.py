@@ -20,6 +20,22 @@ independent Poisson stages of growing mean that sum to the cap mean, and
 only for links still clearing their threshold.  ``_interference_fields`` is
 the one interference draw.  Azimuths never enter an observable.
 
+Link power: each link's received power is formed once, straight from its
+drawn cap cosine c, as P G pg(1 km) gain / u with u = d^2 = Re^2 + Rs^2 -
+2 Re Rs c (the free-space form the closed forms integrate), and the stages
+carry each live link's power and partial field.  Interferers take the same
+form.  It makes the checks ``channel.received_power`` makes (positive
+distance, nonnegative gain), and a test holds it to ``received_power`` at
+``geometry.central_angle_to_distance`` within rel 1e-12.  Only rounding
+separates the two paths, so a world's draws (their sizes and order) and its
+indicators are those of the angle -> distance -> ``received_power`` path bit
+for bit, unless a ratio lies within rounding of its threshold.
+
+Memory: a tier's eavesdropper links are drawn in runs of at most
+``_MAX_LINKS`` (one world's links may span runs), so a block's arrays stay
+bounded at any satellite count.  A block at or below the cap is one run,
+and only a larger block's random stream depends on the cap.
+
 Seeding: block i draws from the i-th child of ``SeedSequence(master_seed)
 .spawn``, so estimates are bit-identical for any worker count and a block's
 worlds do not depend on how many blocks follow.  Blocks run on ``n_jobs``
@@ -31,17 +47,19 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import received_power, sample_fades
+from .channel import path_gain, sample_fades
 from .config import NetworkConfig
-from .geometry import cap_area_km2, central_angle_to_distance, sample_cap_cosines
+from .geometry import TierGeometry, cap_area_km2, sample_cap_cosines
 
 THREADS_ENV_VAR = "LEOSEC_THREADS"
 BLOCK_TRIALS = 256
 _CHUNK_DEVICES = 1 << 15        # interferers per ``_interference_fields`` call
 _FIRST_STAGE_DEVICES = 4.0      # mean devices in a field's first stage; x4 per stage
+_MAX_LINKS = 1 << 20            # eavesdropper links per draw, bounding a block's memory
 
 
 def default_thread_count() -> int:
@@ -68,47 +86,73 @@ class McEstimate:
     master_seed: int
 
 
-def _clears(cfg, k, geom, thetas, fades, interference_w):
-    """Whether each link to tier ``k`` clears its threshold: a ratio
-    S / (I + N) above ``cfg.link_threshold(k)`` for the serving tier, at
-    least it for an eavesdropper (SINR above beta_ls, at least beta_es)."""
-    d = central_angle_to_distance(thetas, geom.shell_radius_km, cfg.earth_radius_km)
-    ratio = received_power(cfg.radio, d, fades) / (interference_w + cfg.noise_w)
-    if k == cfg.legit_tier:
-        return ratio > cfg.link_threshold(k)
-    return ratio >= cfg.link_threshold(k)
+class _Tier(NamedTuple):
+    """One tier's constants.  At cap cosine c a link's squared slant
+    distance is u = a - b * c (km^2), and its received power ``p1km * gain
+    / u``, free-space loss being pg(1 km) / u."""
+
+    geom: TierGeometry
+    cap_mean: float         # mean devices on a receiver's visibility cap
+    a: float                # Re^2 + Rs^2
+    b: float                # 2 Re Rs
+    p1km: float             # P G pg(1 km): received power per unit gain at 1 km
+    noise_w: float
+    threshold: float        # cfg.link_threshold of the tier
+    serving: bool
 
 
-def _cap_mean(cfg: NetworkConfig, geom) -> float:
-    """Mean number of devices on a receiver's visibility cap."""
-    return cfg.device_density_per_km2 * cap_area_km2(geom.max_central_angle, cfg.earth_radius_km)
+def _tiers(cfg: NetworkConfig) -> list[_Tier]:
+    """Every tier's constants, formed once per estimate."""
+    radio, re = cfg.radio, cfg.earth_radius_km
+    p1km = radio.tx_power_w * path_gain(1.0, radio.carrier_hz) * radio.antenna_gain_linear
+    return [_Tier(g, cfg.device_density_per_km2 * cap_area_km2(g.max_central_angle, re),
+                  re ** 2 + g.shell_radius_km ** 2, 2.0 * re * g.shell_radius_km, p1km,
+                  cfg.noise_w, cfg.link_threshold(k), k == cfg.legit_tier)
+            for k, g in enumerate(cfg.tier_geometries())]
 
 
-def _interference_fields(cfg, rng, geom, counts) -> np.ndarray:
+def _powers(tier: _Tier, cosines, gains) -> np.ndarray:
+    """Received power (W) of links at cap cosines ``cosines`` with channel
+    gains ``gains``, checked as ``channel.received_power`` checks them."""
+    u = tier.a - tier.b * cosines
+    if (u <= 0.0).any():
+        raise ValueError("distance_km must be positive")
+    if (gains < 0.0).any():
+        raise ValueError("fade must be nonnegative")
+    return tier.p1km * gains / u
+
+
+def _clears(tier: _Tier, power, interference_w):
+    """Whether each link clears its threshold: a ratio S / (I + N) above
+    ``cfg.link_threshold(k)`` for the serving tier, at least it for an
+    eavesdropper (SINR above beta_ls, at least beta_es)."""
+    ratio = power / (interference_w + tier.noise_w)
+    return ratio > tier.threshold if tier.serving else ratio >= tier.threshold
+
+
+def _interference_fields(cfg, rng, tier: _Tier, counts) -> np.ndarray:
     """Total interference power (W) at each receiver of one tier, given the
     Poisson device count on each receiver's visibility cap."""
     total = int(counts.sum())
     if total == 0:
         return np.zeros(counts.size)
-    cos_a = sample_cap_cosines(rng, geom.max_central_angle, total)
-    d = np.sqrt(cfg.earth_radius_km ** 2 + geom.shell_radius_km ** 2
-                - 2.0 * cfg.earth_radius_km * geom.shell_radius_km * cos_a)
+    cos_a = sample_cap_cosines(rng, tier.geom.max_central_angle, total)
     # interferer gains follow the Gamma(m1, scale m2) law the closed-form
     # transform averages over, not the serving/eavesdropper link law
     gains = rng.gamma(cfg.fading.shape_m1, cfg.fading.scale_m2, total)
-    powers = received_power(cfg.radio, d, gains)
     owner = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(owner, weights=powers, minlength=counts.size)
+    return np.bincount(owner, weights=_powers(tier, cos_a, gains), minlength=counts.size)
 
 
-def _chunked_fields(cfg, rng, geom, cap_mean, n_fields) -> np.ndarray:
-    """Interference at ``n_fields`` receivers, drawn in runs of receivers
-    holding at most ``_CHUNK_DEVICES`` devices (or one receiver's field)."""
-    counts = rng.poisson(cap_mean, n_fields)
+def _chunked_fields(cfg, rng, tier: _Tier, mean: float, n_fields: int) -> np.ndarray:
+    """Interference at ``n_fields`` receivers whose caps hold Poisson(``mean``)
+    devices, drawn in runs of receivers holding at most ``_CHUNK_DEVICES``
+    devices (or one receiver's field)."""
+    counts = rng.poisson(mean, n_fields)
     ends, out, lo = np.cumsum(counts), np.empty(n_fields), 0
     while lo < n_fields:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _CHUNK_DEVICES, "right")))
-        out[lo:hi] = _interference_fields(cfg, rng, geom, counts[lo:hi])
+        out[lo:hi] = _interference_fields(cfg, rng, tier, counts[lo:hi])
         lo = hi
     return out
 
@@ -124,41 +168,62 @@ def _nearest_cosines(rng, theta_max: float, counts) -> np.ndarray:
     return c + (1.0 - c) * rng.random(counts.size) ** (1.0 / counts)
 
 
+def _link_runs(seen, links):
+    """Owner world of every link, ``links[i]`` links in world ``seen[i]``,
+    in runs of at most ``_MAX_LINKS`` links; one world's links may span
+    runs.  At or below the cap, one run holds every link."""
+    ends = np.cumsum(links)
+    total = int(ends[-1]) if ends.size else 0
+    if total <= _MAX_LINKS:
+        yield np.repeat(seen, links)
+        return
+    starts = ends - links
+    for lo in range(0, total, _MAX_LINKS):
+        yield np.repeat(seen, np.maximum(np.minimum(ends, lo + _MAX_LINKS)
+                                         - np.maximum(starts, lo), 0))
+
+
+def _survivors(cfg, rng, tier: _Tier, cosines) -> np.ndarray:
+    """Indices of the links at ``cosines`` that clear their threshold over
+    their whole device field.  Each link's power is formed once; fields are
+    drawn in stages, each only for the links still clearing."""
+    power = _powers(tier, cosines, sample_fades(cfg.fading, rng, cosines.size))
+    live = np.flatnonzero(_clears(tier, power, 0.0))
+    power, partial = power[live], np.zeros(live.size)
+    done, upto = 0.0, _FIRST_STAGE_DEVICES
+    while live.size and done < tier.cap_mean:
+        upto = min(upto, tier.cap_mean)
+        partial += _chunked_fields(cfg, rng, tier, upto - done, live.size)
+        keep = np.flatnonzero(_clears(tier, power, partial))
+        live, power, partial = live[keep], power[keep], partial[keep]
+        done, upto = upto, 4.0 * upto
+    return live
+
+
 def _simulate_block(cfg, tiers, rng, n):
     """Indicators of ``n`` independent worlds: in view (n, tiers), covered
     (n,) and outage (n,).  Draws in-cap counts, then per tier the cosines,
-    gains and staged device fields.  ``tiers`` holds (geometry, cap mean)."""
-    in_cap = np.stack([_in_cap_counts(rng, g.num_satellites, g.max_central_angle, n)
-                       for g, _ in tiers], axis=1)
+    gains and staged device fields.  ``tiers`` is ``_tiers(cfg)``."""
+    in_cap = np.stack([_in_cap_counts(rng, t.geom.num_satellites, t.geom.max_central_angle, n)
+                       for t in tiers], axis=1)
     covered, outage = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-    for k, (g, cap_mean) in enumerate(tiers):
+    for k, tier in enumerate(tiers):
         seen = np.flatnonzero(in_cap[:, k])
-        if k == cfg.legit_tier:
-            owner, cosines = seen, _nearest_cosines(rng, g.max_central_angle, in_cap[seen, k])
-        else:
-            owner = np.repeat(seen, in_cap[seen, k])
-            cosines = sample_cap_cosines(rng, g.max_central_angle, owner.size)
-        thetas = np.arccos(np.minimum(cosines, 1.0))
-        fades = sample_fades(cfg.fading, rng, owner.size)
-        live = np.flatnonzero(_clears(cfg, k, g, thetas, fades, 0.0))
-        partial = np.zeros(owner.size)
-        done, upto = 0.0, _FIRST_STAGE_DEVICES
-        while live.size and done < cap_mean:
-            upto = min(upto, cap_mean)
-            partial[live] += _chunked_fields(cfg, rng, g, upto - done, live.size)
-            live = live[_clears(cfg, k, g, thetas[live], fades[live], partial[live])]
-            done, upto = upto, 4.0 * upto
-        if k == cfg.legit_tier:
-            covered[owner[live]] = True
-        else:
-            outage[owner[live]] = False
+        theta_max = tier.geom.max_central_angle
+        if tier.serving:    # one link per world in view, so never split
+            cosines = _nearest_cosines(rng, theta_max, in_cap[seen, k])
+            covered[seen[_survivors(cfg, rng, tier, cosines)]] = True
+            continue
+        for owner in _link_runs(seen, in_cap[seen, k]):
+            cosines = sample_cap_cosines(rng, theta_max, owner.size)
+            outage[owner[_survivors(cfg, rng, tier, cosines)]] = False
     return in_cap > 0, covered, outage
 
 
 def run_trial(cfg: NetworkConfig, trial_seed: int) -> TrialOutcome:
     """Sample one world from ``trial_seed`` and score it (a one-trial block)."""
-    tiers = [(g, _cap_mean(cfg, g)) for g in cfg.tier_geometries()]
-    in_view, covered, outage = _simulate_block(cfg, tiers, np.random.default_rng(trial_seed), 1)
+    in_view, covered, outage = _simulate_block(cfg, _tiers(cfg),
+                                               np.random.default_rng(trial_seed), 1)
     return TrialOutcome(tuple(bool(v) for v in in_view[0]), bool(covered[0]), bool(outage[0]))
 
 
@@ -174,7 +239,7 @@ def estimate(cfg: NetworkConfig, n_trials: int, master_seed: int,
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     n_jobs = max(1, default_thread_count() if n_jobs is None else n_jobs)
-    tiers = [(g, _cap_mean(cfg, g)) for g in cfg.tier_geometries()]
+    tiers = _tiers(cfg)
     n_blocks = -(-n_trials // BLOCK_TRIALS)
     block_seeds = np.random.SeedSequence(master_seed).spawn(n_blocks)
 
@@ -212,8 +277,8 @@ def estimate_laplace(cfg: NetworkConfig, tier_index: int, s_grid,
     if n_real < 1:
         raise ValueError(f"n_real must be >= 1, got {n_real}")
     rng = np.random.default_rng(seed)
-    geom = cfg.tier_geometries()[tier_index]
-    fields = _interference_fields(cfg, rng, geom, rng.poisson(_cap_mean(cfg, geom), n_real))
+    tier = _tiers(cfg)[tier_index]
+    fields = _interference_fields(cfg, rng, tier, rng.poisson(tier.cap_mean, n_real))
     out = []
     for s in s_arr:
         vals = np.exp(-s * fields)
