@@ -21,15 +21,17 @@ only for links still clearing their threshold.  ``_interference_fields`` is
 the one interference draw.  Azimuths never enter an observable.
 
 Link power: each link's received power is formed once, straight from its
-drawn cap cosine c, as P G pg(1 km) gain / u with u = d^2 = Re^2 + Rs^2 -
-2 Re Rs c (the free-space form the closed forms integrate), and the stages
-carry each live link's power and partial field.  Interferers take the same
-form.  It makes the checks ``channel.received_power`` makes (positive
-distance, nonnegative gain), and a test holds it to ``received_power`` at
+drawn cap cosine c, as ``channel.received_power`` at 1 km and unit gain,
+times the gain, over u = d^2 = Re^2 + Rs^2 - 2 Re Rs c (the free-space
+form the closed forms integrate), and the stages carry each live link's
+power and partial field.  Interferers take the same form.  It makes the
+checks ``received_power`` makes (positive distance, nonnegative gain), and
+a test holds it to ``received_power`` at
 ``geometry.central_angle_to_distance`` within rel 1e-12.  Only rounding
 separates the two paths, so a world's draws (their sizes and order) and its
 indicators are those of the angle -> distance -> ``received_power`` path bit
-for bit, unless a ratio lies within rounding of its threshold.
+for bit, unless a ratio lies within rounding of its threshold, where the
+rest of that block's draws differ.
 
 Memory: a tier's eavesdropper links are drawn in runs of at most
 ``_MAX_LINKS`` (one world's links may span runs), so a block's arrays stay
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import path_gain, sample_fades
+from .channel import received_power, sample_fades
 from .config import NetworkConfig
 from .geometry import TierGeometry, cap_area_km2, sample_cap_cosines
 
@@ -88,26 +90,24 @@ class McEstimate:
 
 class _Tier(NamedTuple):
     """One tier's constants.  At cap cosine c a link's squared slant
-    distance is u = a - b * c (km^2), and its received power ``p1km * gain
-    / u``, free-space loss being pg(1 km) / u."""
+    distance is u = a - b * c (km^2), by the law of cosines, and its
+    received power ``scale * gain / u``, free-space loss being pg(1 km) / u."""
 
     geom: TierGeometry
     cap_mean: float         # mean devices on a receiver's visibility cap
     a: float                # Re^2 + Rs^2
     b: float                # 2 Re Rs
-    p1km: float             # P G pg(1 km): received power per unit gain at 1 km
-    noise_w: float
+    scale: float            # received_power at 1 km, unit gain (W km^2); config-wide
     threshold: float        # cfg.link_threshold of the tier
     serving: bool
 
 
 def _tiers(cfg: NetworkConfig) -> list[_Tier]:
     """Every tier's constants, formed once per estimate."""
-    radio, re = cfg.radio, cfg.earth_radius_km
-    p1km = radio.tx_power_w * path_gain(1.0, radio.carrier_hz) * radio.antenna_gain_linear
+    re, scale = cfg.earth_radius_km, received_power(cfg.radio, 1.0, 1.0)
     return [_Tier(g, cfg.device_density_per_km2 * cap_area_km2(g.max_central_angle, re),
-                  re ** 2 + g.shell_radius_km ** 2, 2.0 * re * g.shell_radius_km, p1km,
-                  cfg.noise_w, cfg.link_threshold(k), k == cfg.legit_tier)
+                  re ** 2 + g.shell_radius_km ** 2, 2.0 * re * g.shell_radius_km, scale,
+                  cfg.link_threshold(k), k == cfg.legit_tier)
             for k, g in enumerate(cfg.tier_geometries())]
 
 
@@ -119,14 +119,14 @@ def _powers(tier: _Tier, cosines, gains) -> np.ndarray:
         raise ValueError("distance_km must be positive")
     if (gains < 0.0).any():
         raise ValueError("fade must be nonnegative")
-    return tier.p1km * gains / u
+    return tier.scale * gains / u
 
 
-def _clears(tier: _Tier, power, interference_w):
+def _clears(cfg, tier: _Tier, power, interference_w):
     """Whether each link clears its threshold: a ratio S / (I + N) above
     ``cfg.link_threshold(k)`` for the serving tier, at least it for an
     eavesdropper (SINR above beta_ls, at least beta_es)."""
-    ratio = power / (interference_w + tier.noise_w)
+    ratio = power / (interference_w + cfg.noise_w)
     return ratio > tier.threshold if tier.serving else ratio >= tier.threshold
 
 
@@ -171,14 +171,11 @@ def _nearest_cosines(rng, theta_max: float, counts) -> np.ndarray:
 def _link_runs(seen, links):
     """Owner world of every link, ``links[i]`` links in world ``seen[i]``,
     in runs of at most ``_MAX_LINKS`` links; one world's links may span
-    runs.  At or below the cap, one run holds every link."""
+    runs.  At or below the cap the loop makes one run of every link (none
+    when there are no links)."""
     ends = np.cumsum(links)
-    total = int(ends[-1]) if ends.size else 0
-    if total <= _MAX_LINKS:
-        yield np.repeat(seen, links)
-        return
     starts = ends - links
-    for lo in range(0, total, _MAX_LINKS):
+    for lo in range(0, int(ends[-1]) if ends.size else 0, _MAX_LINKS):
         yield np.repeat(seen, np.maximum(np.minimum(ends, lo + _MAX_LINKS)
                                          - np.maximum(starts, lo), 0))
 
@@ -188,13 +185,13 @@ def _survivors(cfg, rng, tier: _Tier, cosines) -> np.ndarray:
     their whole device field.  Each link's power is formed once; fields are
     drawn in stages, each only for the links still clearing."""
     power = _powers(tier, cosines, sample_fades(cfg.fading, rng, cosines.size))
-    live = np.flatnonzero(_clears(tier, power, 0.0))
+    live = np.flatnonzero(_clears(cfg, tier, power, 0.0))
     power, partial = power[live], np.zeros(live.size)
     done, upto = 0.0, _FIRST_STAGE_DEVICES
     while live.size and done < tier.cap_mean:
         upto = min(upto, tier.cap_mean)
         partial += _chunked_fields(cfg, rng, tier, upto - done, live.size)
-        keep = np.flatnonzero(_clears(tier, power, partial))
+        keep = np.flatnonzero(_clears(cfg, tier, power, partial))
         live, power, partial = live[keep], power[keep], partial[keep]
         done, upto = upto, 4.0 * upto
     return live

@@ -57,13 +57,14 @@ def test_pinned_nadir_link_sinr(table2):
     for beta_ls, clears in ((0.99 * sinr, True), (1.01 * sinr, False)):
         tier = montecarlo._tiers(replace(cfg, beta_ls=beta_ls))[cfg.legit_tier]
         power = montecarlo._powers(tier, np.ones(1), fade)
-        assert montecarlo._clears(tier, power, 0.0)[0] == clears
+        assert montecarlo._clears(cfg, tier, power, 0.0)[0] == clears
 
 
 def test_kernel_powers_match_physical_functions(table2):
-    # the kernel forms power as P G pg(1 km) gain / u with u = d^2 taken from
-    # the cap cosine; it must equal received_power at the law-of-cosines
-    # distance, on table2's tiers and a 36,000 km tier, cap edge to nadir
+    # the kernel forms power as received_power at 1 km and unit gain, times
+    # the gain, over u = d^2 taken from the cap cosine; it must equal
+    # received_power at the law-of-cosines distance, on table2's tiers and a
+    # 36,000 km tier, cap edge to nadir
     cfg = replace(table2, tiers=table2.tiers + (Tier(36_000.0, 10),))
     rng = np.random.default_rng(3)
     for tier in montecarlo._tiers(cfg):
