@@ -23,18 +23,21 @@ slant distance) makes its integrand the rational function
 t = u / (u + A) for integer m1; see ``interference_laplace``.  The transform
 is therefore exact and quadrature-free.
 
-Coverage and outage integrate a conditional SINR-threshold probability -- a
-finite alternating binomial sum in the fading shape -- against the relevant
-contact-angle density.  The power share and the thresholds enter it only
-through ``NetworkConfig.link_threshold``, the ratio S / (I + N) a link must
-clear, which the simulator compares against too; a link that can never
-clear it (gamma = 0, or an eavesdropper at or under the jamming ceiling)
-integrates to 0, so p_cov is 0 and p_out is 1 there with no special case.
+Coverage and outage come down to one quantity: the probability that a link
+clears its SINR threshold -- a finite alternating binomial sum in the fading
+shape -- averaged over the nearest of n uniform satellites in the tier's
+cap, with n = N for the serving tier and n = 1 per eavesdropper tier.  The
+power share and the thresholds enter it only through
+``NetworkConfig.link_threshold``, the ratio S / (I + N) a link must clear,
+which the simulator compares against too; a link that can never clear it
+(gamma = 0, or an eavesdropper at or under the jamming ceiling) integrates
+to 0, so p_cov is 0 and p_out is 1 there with no special case.
 
-These outer integrals are the only quadrature left: each is 1-D on a
-bounded interval with a smooth integrand, so the fixed-node composite
-Gauss-Legendre rule with one panel-doubling convergence check
-(``QuadratureSpec``) is both fast and reliable.
+That average is the only quadrature left.  In t = -n * log(1 - v), with
+v = sin^2(theta/2), the nearest-satellite law is e^(-t) dt for every n and
+u = d^2 is smooth, so the fixed-node composite Gauss-Legendre rule with one
+panel-doubling convergence check (``QuadratureSpec``) is fast and reliable
+up to millions of satellites per tier.
 """
 from __future__ import annotations
 
@@ -44,14 +47,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import path_gain
+from .channel import received_power
 from .config import NetworkConfig
-from .geometry import TierGeometry, central_angle_to_distance, contact_angle_cdf, contact_angle_pdf
+from .geometry import TierGeometry, contact_angle_cdf
 
 _MAX_PANEL_DOUBLINGS = 6
 # Quadrature rounding tolerated past a probability's bound: a result that
 # misses [0, bound] by less is clipped onto it, a larger miss raises.
 _BRACKET_SLACK = 1e-12
+# Cut on t: exceed falls with distance, so it drops at most e^-40 of an
+# integral, relative; uncut, n * v_max reaches the hundreds, past the rule.
+_T_CUT = 40.0
 
 
 class QuadratureError(ArithmeticError):
@@ -124,6 +130,13 @@ def availability_probability(tier: TierGeometry) -> float:
                                    tier.max_central_angle))
 
 
+def _cap_span(tier: TierGeometry, cfg: NetworkConfig) -> tuple[float, float, float]:
+    """(u0, b, v_max): d(theta)^2 = u0 + b * v with v = sin^2(theta/2), the
+    law of cosines free of cancellation, and v_max is v at the cap edge."""
+    re, rs = cfg.earth_radius_km, tier.shell_radius_km
+    return (rs - re) ** 2, 4.0 * re * rs, math.sin(0.5 * tier.max_central_angle) ** 2
+
+
 def interference_laplace(s, tier: TierGeometry, cfg: NetworkConfig):
     """E[exp(-s * I)] for the device-field interference at one receiver.
 
@@ -151,13 +164,10 @@ def interference_laplace(s, tier: TierGeometry, cfg: NetworkConfig):
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0.0):
         raise ValueError("s must be nonnegative")
-    radio, m1 = cfg.radio, cfg.fading.shape_m1
-    re, rs = cfg.earth_radius_km, tier.shell_radius_km
-    a = s_arr * (cfg.fading.scale_m2 * radio.tx_power_w * radio.antenna_gain_linear
-                 * path_gain(1.0, radio.carrier_hz))
-    u0 = (rs - re) ** 2
-    # u1 - u0 = 2*Re*Rs*(1 - cos(theta_max)), formed without cancellation
-    du = 4.0 * re * rs * math.sin(0.5 * tier.max_central_angle) ** 2
+    m1 = cfg.fading.shape_m1
+    a = s_arr * (cfg.fading.scale_m2 * received_power(cfg.radio, 1.0, 1.0))
+    u0, b, v_max = _cap_span(tier, cfg)
+    du = b * v_max
     u1 = u0 + du
     t0, t1 = u0 / (u0 + a), u1 / (u1 + a)
     # On a narrow cap t1 ~ t0, so build t1^k - t0^k by the recurrence
@@ -172,27 +182,22 @@ def interference_laplace(s, tier: TierGeometry, cfg: NetworkConfig):
         t1_pow = t1_pow * t1
         poly += (m1 - k) / k * diff_k
     integral = a * (m1 * np.log1p(du / (u0 + a)) - poly)
-    area_coef = cfg.device_density_per_km2 * math.pi * re / rs
+    area_coef = cfg.device_density_per_km2 * math.pi * cfg.earth_radius_km / tier.shell_radius_km
     out = np.exp(-area_coef * integral)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _link_scaling(theta, cfg: NetworkConfig, tier: TierGeometry, threshold: float):
-    """rate * threshold / (P * G * pg(d(theta))): the per-unit-power factor
-    (1/W) of a link's threshold event at central angle theta, for the link
-    threshold of ``NetworkConfig.link_threshold``.  The probability that the
-    link clears it, given the angle and interference I, is a binomial sum in
-    exp(-q * scaling * (I + noise))."""
-    radio = cfg.radio
-    d = central_angle_to_distance(theta, tier.shell_radius_km, cfg.earth_radius_km)
-    denom = radio.tx_power_w * radio.antenna_gain_linear
-    return cfg.fading.rate * threshold / (denom * path_gain(d, radio.carrier_hz))
+def _link_scale(cfg: NetworkConfig, k: int) -> float:
+    """rate * threshold / (P * G * pg(1 km)): times u = d^2, the per-unit-
+    power factor (1/W) of a tier-``k`` link at distance d; inf if none can
+    clear ``cfg.link_threshold(k)``."""
+    return cfg.fading.rate * cfg.link_threshold(k) / received_power(cfg.radio, 1.0, 1.0)
 
 
-def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig) -> np.ndarray:
-    """P[link SINR > threshold | angle], for the angle-dependent scalings
-    ``s_vals``: alternating binomial sum over the fading shape, each term
-    weighting the noise factor by the interference transform."""
+def _exceed_given_scaling(s_vals, tier: TierGeometry, cfg: NetworkConfig) -> np.ndarray:
+    """P[link SINR > threshold] for per-unit-power factors ``s_vals`` (see
+    ``_link_scale``): alternating binomial sum over the fading shape, each
+    term weighting the noise factor by the interference transform."""
     m1 = cfg.fading.shape_m1
     noise = cfg.noise_w
     acc = np.zeros_like(s_vals)
@@ -203,24 +208,28 @@ def _threshold_exceed_given_angle(s_vals, tier: TierGeometry, cfg: NetworkConfig
     return np.clip(acc, 0.0, 1.0)
 
 
-def _checked_cap_integral(cfg: NetworkConfig, k: int, geom: TierGeometry, weight,
-                         quad: QuadratureSpec, label: str, bound: float) -> float:
-    """Integral over tier ``k``'s cap [0, theta_max] of exceed(theta) *
-    weight(theta), exceed being the probability, given the angle, that a
-    link to that tier clears ``cfg.link_threshold(k)``; 0 when no link can.
-    A QuadratureError is re-raised prefixed by ``label``; a result within
-    _BRACKET_SLACK of [0, bound] (quadrature rounding) is clipped onto it, a
-    larger miss raises ArithmeticError."""
-    threshold = cfg.link_threshold(k)
-    if threshold == math.inf:
+def _nearest_exceed_integral(cfg: NetworkConfig, k: int, geom: TierGeometry, n: int,
+                             quad: QuadratureSpec, label: str, bound: float) -> float:
+    """E[exceed(nearest); nearest in the cap], exceed being the probability
+    that a link to the nearest of ``n`` uniform satellites on tier ``k``
+    clears ``cfg.link_threshold(k)``; 0 when no link can.  Integrated in
+    t = -n * log(1 - v), v = sin^2(theta/2), where the nearest angle's law
+    is e^(-t) dt and u = d^2 = u0 - b * expm1(-t/n), on [0, min(t(v_max),
+    _T_CUT)].  A QuadratureError is re-raised prefixed by ``label``; a
+    result within _BRACKET_SLACK of [0, bound] is clipped onto it, a larger
+    miss raises ArithmeticError.
+    """
+    scale = _link_scale(cfg, k)
+    if scale == math.inf:
         return 0.0
+    u0, b, v_max = _cap_span(geom, cfg)
 
-    def integrand(theta):
-        scaling = _link_scaling(theta, cfg, geom, threshold)
-        return _threshold_exceed_given_angle(scaling, geom, cfg) * weight(theta)
+    def integrand(t):
+        u = u0 - b * np.expm1(-t / n)
+        return _exceed_given_scaling(scale * u, geom, cfg) * np.exp(-t)
 
     try:
-        value = float(integrate(integrand, 0.0, geom.max_central_angle, quad))
+        value = float(integrate(integrand, 0.0, min(-n * math.log1p(-v_max), _T_CUT), quad))
     except QuadratureError as e:
         raise QuadratureError(f"{label}: {e}") from e
     if value < -_BRACKET_SLACK or value > bound + _BRACKET_SLACK:
@@ -229,39 +238,37 @@ def _checked_cap_integral(cfg: NetworkConfig, k: int, geom: TierGeometry, weight
 
 
 def coverage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """P[serving link SINR > beta_ls], integrated over the nearest-satellite
-    angle law of the serving tier (hence at most that tier's availability,
-    the bound of its checked cap integral).  A QuadratureError names the
-    metric and the serving tier.
+    """P[serving link SINR > beta_ls], averaged over the nearest of the
+    serving tier's N satellites when in the cap (so at most the tier's
+    availability): the integral in t = -N * log(1 - sin^2(theta/2)), cut at
+    t = 40, which drops at most e^-40 of it as exceed falls with distance.
+    A QuadratureError names the metric and the serving tier.
     """
     geom = cfg.legit_geometry()
     if geom.num_satellites == 0:
         return 0.0
-    return _checked_cap_integral(
-        cfg, cfg.legit_tier, geom,
-        lambda theta: contact_angle_pdf(theta, geom.num_satellites, geom.max_central_angle),
-        quad, f"coverage, tier {cfg.legit_tier}", availability_probability(geom))
+    return _nearest_exceed_integral(cfg, cfg.legit_tier, geom, geom.num_satellites, quad,
+                                    f"coverage, tier {cfg.legit_tier}", availability_probability(geom))
 
 
 def secrecy_outage_probability(cfg: NetworkConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """P[every eavesdropper in every non-serving tier stays below beta_es].
 
-    Per tier, a single satellite's below-threshold probability is one minus
-    the cap integral of its exceed probability against the single-satellite
-    angle density sin(theta)/2 (never being in view counts as below);
-    independence across the tier's satellites raises that bracket to the
-    satellite count, evaluated as N * log1p(-integral).  Integrating the
-    exceed probability, not its complement, keeps the quadrature's relative
-    convergence test meaningful when the threshold is tiny and the
-    complement is rounding dust.  A QuadratureError names the metric and the
-    eavesdropper tier.
+    Per tier, one satellite is below with probability one minus its exceed
+    probability averaged over its place in the cap (out of view counts as
+    below): the integral in t = -log(1 - sin^2(theta/2)), cut at t = 40,
+    which drops at most e^-40 of it as exceed falls with distance.  The
+    tier's N independent satellites raise that to the N-th power, as
+    N * log1p(-integral).  Integrating the exceed probability, not its
+    complement, keeps the quadrature's relative convergence test meaningful
+    when the threshold is tiny and the complement is rounding dust.  A
+    QuadratureError names the metric and the eavesdropper tier.
     """
     log_total = 0.0
     for k, geom in enumerate(cfg.tier_geometries()):
         if k == cfg.legit_tier or geom.num_satellites == 0:
             continue
-        mass = _checked_cap_integral(cfg, k, geom, lambda theta: np.sin(theta) / 2.0,
-                                     quad, f"secrecy outage, tier {k}", 1.0)
+        mass = _nearest_exceed_integral(cfg, k, geom, 1, quad, f"secrecy outage, tier {k}", 1.0)
         if mass == 1.0:
             return 0.0
         log_total += geom.num_satellites * math.log1p(-mass)

@@ -89,23 +89,15 @@ def tier_geometry(altitude_km: float, num_satellites: int, theta_beam: float,
     )
 
 
-def _cap_miss_probability(theta, num_satellites: int):
-    """((1 + cos theta) / 2) ** N, evaluated in log domain.
-
-    This is the probability that none of N independently placed satellites
-    falls inside the cap of central angle theta.  Log-domain evaluation keeps
-    N = 500+ from underflowing in the base before exponentiation.
-    """
+def _cap_miss_log(theta, num_satellites: int):
+    """N * log((1 + cos theta) / 2), the log of the probability that none of
+    N uniform satellites falls in the cap of central angle theta: the base
+    is 1 - sin^2(theta/2) in log1p, so a narrow cap keeps its digits."""
     th = np.asarray(theta, dtype=float)
-    base = 0.5 * (1.0 + np.cos(th))
     if num_satellites == 0:
-        out = np.ones_like(base)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.where(base > 0.0,
-                           np.exp(num_satellites * np.log(np.where(base > 0.0, base, 1.0))),
-                           0.0)
-    return float(out) if np.ndim(theta) == 0 else out
+        return np.zeros_like(th)
+    with np.errstate(divide="ignore"):
+        return num_satellites * np.log1p(-np.sin(0.5 * th) ** 2)
 
 
 def contact_angle_cdf(theta, num_satellites: int, theta_max: float):
@@ -118,7 +110,7 @@ def contact_angle_cdf(theta, num_satellites: int, theta_max: float):
     th = np.asarray(theta, dtype=float)
     if np.any(th < 0.0) or np.any(th > theta_max):
         raise ValueError(f"theta must be in [0, theta_max={theta_max}]")
-    out = 1.0 - _cap_miss_probability(th, num_satellites)
+    out = -np.expm1(_cap_miss_log(th, num_satellites))
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -129,7 +121,7 @@ def contact_angle_pdf(theta, num_satellites: int, theta_max: float):
     th = np.asarray(theta, dtype=float)
     if np.any(th < 0.0) or np.any(th > theta_max):
         raise ValueError(f"theta must be in [0, theta_max={theta_max}]")
-    out = (num_satellites * np.sin(th) / 2.0) * _cap_miss_probability(th, num_satellites - 1)
+    out = (num_satellites * np.sin(th) / 2.0) * np.exp(_cap_miss_log(th, num_satellites - 1))
     return float(out) if np.ndim(theta) == 0 else out
 
 

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from leosec import analytics, montecarlo
 from leosec.analytics import (DEFAULT_QUAD, MetricsReport, QuadratureError, QuadratureSpec,
-                              _link_scaling, availability_probability, coverage_probability,
-                              full_report, integrate, interference_laplace,
-                              secrecy_outage_probability, secure_probability)
+                              _cap_span, _link_scale, availability_probability,
+                              coverage_probability, full_report, integrate,
+                              interference_laplace, secrecy_outage_probability,
+                              secure_probability)
+from leosec.channel import path_gain
 from leosec.config import Tier, table2_config, with_parameter
-from leosec.geometry import contact_angle_cdf, contact_angle_pdf, tier_geometry
+from leosec.geometry import (central_angle_to_distance, contact_angle_cdf, contact_angle_pdf,
+                             tier_geometry)
 from strategies import fuzz_configs
 
 # Implementation outputs at the default scenario, recorded as goldens once the
@@ -145,16 +148,12 @@ class TestScalingFactors:
         cfg = replace(with_parameter(table2, "gamma", 1.0), beta_es=table2.beta_ls)
         assert cfg.link_threshold(0) == pytest.approx(cfg.link_threshold(cfg.legit_tier),
                                                       rel=1e-12)
-        geom = cfg.legit_geometry()
-        for theta in (0.01, 0.2, 0.4):
-            assert _link_scaling(theta, cfg, geom, cfg.link_threshold(0)) == pytest.approx(
-                _link_scaling(theta, cfg, geom, cfg.link_threshold(cfg.legit_tier)), rel=1e-12)
+        assert _link_scale(cfg, 0) == pytest.approx(_link_scale(cfg, cfg.legit_tier), rel=1e-12)
 
     def test_default_margin_is_finite(self, table2):
         # info_ratio 0.1 against beta_es 0.1 leaves margin 0.01
         assert table2.link_threshold(0) == pytest.approx(0.1 / 0.01, rel=1e-12)
-        assert 0.0 < _link_scaling(0.1, table2, table2.tier_geometries()[0],
-                                   table2.link_threshold(0)) < math.inf
+        assert 0.0 < _link_scale(table2, 0) < math.inf
 
     def test_ceiling_condition_is_unreachable(self, table2):
         cfg = with_parameter(table2, "gamma", 0.05)  # 0.05 - 0.1*0.95 < 0
@@ -175,8 +174,26 @@ class TestScalingFactors:
         assert cfg.link_threshold(0) == math.inf
 
     def test_scaling_increases_with_distance(self, table2):
-        geom, t = table2.legit_geometry(), table2.link_threshold(table2.legit_tier)
-        assert _link_scaling(0.4, table2, geom, t) > _link_scaling(0.1, table2, geom, t)
+        u0, b, _ = _cap_span(table2.legit_geometry(), table2)
+        scale = _link_scale(table2, table2.legit_tier)
+        assert scale * (u0 + b * math.sin(0.2) ** 2) > scale * (u0 + b * math.sin(0.05) ** 2)
+
+    def test_link_form_matches_physical_path(self, table2):
+        # The engine forms d^2 from v = sin^2(theta/2) and the link factor
+        # per unit of d^2, never calling the angle -> distance -> path-gain
+        # chain; pin both to that chain across each cap, up to a GEO tier.
+        cfg = replace(table2, tiers=table2.tiers + (Tier(36_000.0, 500),))
+        radio = cfg.radio
+        for k, geom in enumerate(cfg.tier_geometries()):
+            theta = np.linspace(0.0, geom.max_central_angle, 17)
+            u0, b, v_max = _cap_span(geom, cfg)
+            d = central_angle_to_distance(theta, geom.shell_radius_km, cfg.earth_radius_km)
+            u = u0 + b * np.sin(0.5 * theta) ** 2
+            assert u == pytest.approx(d ** 2, rel=1e-12)
+            assert u0 + b * v_max == pytest.approx(d[-1] ** 2, rel=1e-12)
+            want = cfg.fading.rate * cfg.link_threshold(k) / (
+                radio.tx_power_w * radio.antenna_gain_linear * path_gain(d, radio.carrier_hz))
+            assert _link_scale(cfg, k) * u == pytest.approx(want, rel=1e-12)
 
 
 class TestCoverage:
@@ -321,13 +338,29 @@ class TestFullReport:
             MetricsReport(p_av_per_tier=(0.5,), p_cov=1.2, p_suc=0.5, p_out=0.5, p_sec=0.25)
 
 
-def test_coverage_rounding_past_availability_is_clipped(table2):
-    # A one-tier scenario whose coverage integral rounds to 1 + 3.6e-15, past
-    # the tier's availability; full_report used to reject it.
+def test_coverage_rounding_near_availability_stays_in_bound(table2):
+    # A one-tier scenario whose coverage integral is availability up to
+    # rounding; the theta-space rule overshot it by 3.6e-15, which
+    # full_report used to reject.
     cfg = replace(table2, tiers=(Tier(733.0622721139226, 3201),), legit_tier=0,
                   fading=replace(table2.fading, shape_m1=5),
                   beta_ls=5.653424715587807e-06, beta_es=0.39403864688113355)
-    assert full_report(cfg).p_cov == availability_probability(cfg.legit_geometry())
+    p_av = availability_probability(cfg.legit_geometry())
+    assert p_av - 1e-14 <= full_report(cfg).p_cov <= p_av
+
+
+def test_bracket_rule_clips_rounding_and_raises_past_it(table2, monkeypatch):
+    bound = availability_probability(table2.legit_geometry())
+
+    def coverage_with_integral(value):
+        monkeypatch.setattr(analytics, "integrate", lambda *args: value)
+        return coverage_probability(table2)
+
+    assert coverage_with_integral(bound + 0.5e-12) == bound
+    assert coverage_with_integral(-0.5e-12) == 0.0
+    with pytest.raises(ArithmeticError, match=r"^coverage, tier 1: integral .* outside") as info:
+        coverage_with_integral(bound + 1e-9)
+    assert not isinstance(info.value, QuadratureError)
 
 
 def assert_report_in_range(cfg, r):
@@ -349,6 +382,16 @@ def assert_report_in_range(cfg, r):
 def test_tiny_eavesdropper_threshold_evaluates(table2, tiers, legit, beta_ls, beta_es):
     cfg = replace(table2, tiers=tuple(Tier(a, n) for a, n in tiers), legit_tier=legit,
                   fading=replace(table2.fading, shape_m1=5), beta_ls=beta_ls, beta_es=beta_es)
+    assert_report_in_range(cfg, full_report(cfg))
+
+
+def test_narrow_cap_at_constellation_scale_evaluates(table2):
+    # theta_beam 0.001 leaves caps of ~1e-4 rad; availability formed from
+    # (1 + cos theta) / 2 lost 9e-9 of itself there and fell below the
+    # coverage integral, which full_report then rejected
+    cfg = replace(table2, theta_beam=1e-3,
+                  tiers=tuple(replace(t, num_satellites=10**6) for t in table2.tiers),
+                  fading=replace(table2.fading, shape_m1=5), beta_ls=1e-3, beta_es=1e-3)
     assert_report_in_range(cfg, full_report(cfg))
 
 

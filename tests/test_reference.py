@@ -198,16 +198,38 @@ def test_secrecy_outage_matches_reference_at_largest_fading_shape():
     assert abs(got - want) <= 1e-10 * want
 
 
-@pytest.mark.parametrize("edit", [
-    lambda cfg: replace(cfg, fading=replace(cfg.fading, shape_m1=3)),
-    lambda cfg: replace(cfg, tiers=tuple(replace(t, num_satellites=20) for t in cfg.tiers)),
-], ids=["shape_3", "20_satellites_per_tier"])
-def test_coverage_matches_reference(edit):
+def _satellites_per_tier(n):
+    return lambda cfg: replace(cfg, tiers=tuple(replace(t, num_satellites=n) for t in cfg.tiers))
+
+
+# At shape <= 3 the fading sum cancels little, and 15 digits already put the
+# reference within 1e-14 of the engine.  At constellation scale the nearest
+# angle's law is a spike near 0, where the reference's change of variable
+# takes the N-th root of a number near 1, so it runs at DPS.
+@pytest.mark.parametrize("edit, dps", [
+    pytest.param(lambda cfg: replace(cfg, fading=replace(cfg.fading, shape_m1=3)), 15,
+                 id="shape_3"),
+    pytest.param(_satellites_per_tier(20), 15, id="20_satellites_per_tier"),
+    pytest.param(_satellites_per_tier(500_000), DPS, id="500000_satellites_per_tier"),
+    pytest.param(_satellites_per_tier(5_000_000), DPS, id="5000000_satellites_per_tier"),
+])
+def test_coverage_matches_reference(edit, dps):
     cfg = edit(table2_config())
-    # at shape <= 3 the fading sum cancels little, and 15 digits already put
-    # the reference within 1e-14 of the engine; more digits would only cost time
-    with mp.workdps(15):
+    with mp.workdps(dps):
         want = _coverage(cfg)
     got = analytics.coverage_probability(cfg)
     assert 0.0 < got < 1.0
-    assert abs(got - want) <= 1e-8 * want
+    assert abs(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("theta_beam", [0.001, 0.01])
+@pytest.mark.parametrize("n", [500, 10**6])
+def test_availability_matches_reference_on_narrow_caps(theta_beam, n):
+    # 1 - (1 - sin^2(theta_max / 2))^N; forming the base as (1 + cos) / 2
+    # cost up to 9e-9 of the result at theta_beam 0.001.  The base is within
+    # 1e-9 of 1, so the reference needs 2 * DPS digits to keep DPS of them.
+    cfg = _satellites_per_tier(n)(replace(table2_config(), theta_beam=theta_beam))
+    for geom in cfg.tier_geometries():
+        with mp.workdps(2 * DPS):
+            want = 1 - (1 - mp.sin(mp.mpf(geom.max_central_angle) / 2) ** 2) ** n
+        assert abs(analytics.availability_probability(geom) - want) <= 1e-14 * want
